@@ -65,7 +65,7 @@ echo "top conv-layer label: $convtop"
 rm -rf "$profdir"
 
 if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
-    echo "=== tango-serve: dedup, cache hits, metrics scrape, drain ==="
+    echo "=== tango-serve: dedup, cache hits, hostile frames, metrics scrape, drain ==="
     servedir=$(mktemp -d)
     build/tools/tango-serve --port 0 --port-file "$servedir/port" &
     serve_pid=$!
@@ -87,6 +87,29 @@ assert stats["failures"] == 0, stats
 print("serve: %d jobs simulated once, %d warm hits (hit rate %.3f)"
       % (stats["cache_misses"], stats["cache_mem_hits"],
          stats["cache_hit_rate"]))
+EOF
+    # Hostile-frame corpus: each frame must come back as a "bad request"
+    # result, and the daemon must keep serving (the scrape below runs
+    # after it).
+    python3 - "$(cat "$servedir/port")" <<'EOF'
+import json, socket, struct, sys
+corpus = {"deep nesting (1 MiB of '[')": b"[" * (1 << 20)}
+for name, payload in corpus.items():
+    s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+    s.sendall(struct.pack(">I", len(payload)) + payload)
+    def recv_exact(n):
+        buf = b""
+        while len(buf) < n:
+            chunk = s.recv(n - len(buf))
+            assert chunk, "%s: tango-serve closed the connection" % name
+            buf += chunk
+        return buf
+    (n,) = struct.unpack(">I", recv_exact(4))
+    reply = json.loads(recv_exact(n))
+    assert reply["type"] == "result" and reply["ok"] is False, reply
+    assert reply["error"].startswith("bad request"), reply
+    s.close()
+    print("hostile frame, %s: %s" % (name, reply["error"]))
 EOF
     # Scrape the live metrics frame (tango-top --raw = one Prometheus
     # scrape) and assert it agrees with itself and the stats endpoint.

@@ -1,5 +1,6 @@
 #include "common/json.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,16 +34,20 @@ appendEscaped(std::string &out, const std::string &s)
 void
 appendDouble(std::string &out, double v)
 {
-    char buf[40];
-    // 17 significant digits round-trip any IEEE-754 double exactly.
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
+    char buf[32];
+    // 17 significant digits round-trip any IEEE-754 double exactly;
+    // general format gives the same bytes as printf("%.17g").
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 void
 appendU64(std::string &out, uint64_t v)
 {
-    out += std::to_string(v);
+    char buf[20];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
 }
 
 std::string
@@ -50,41 +55,41 @@ Reader::string()
 {
     expect('"');
     std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-        char c = s_[pos_++];
-        if (c == '\\') {
-            if (pos_ >= s_.size())
-                fail("bad escape");
-            char e = s_[pos_++];
-            switch (e) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'u': {
-                if (pos_ + 4 > s_.size())
-                    fail("bad \\u escape");
-                const unsigned cp = static_cast<unsigned>(std::strtoul(
-                    s_.substr(pos_, 4).c_str(), nullptr, 16));
-                pos_ += 4;
-                // Tango strings are ASCII; anything else is replaced.
-                out += cp < 0x80 ? static_cast<char>(cp) : '?';
-                break;
-            }
-            default: fail("bad escape");
-            }
-        } else {
-            out += c;
+    for (;;) {
+        // Copy the run up to the next quote or escape in one append.
+        const size_t stop = s_.find_first_of("\"\\", pos_);
+        if (stop == std::string::npos) {
+            pos_ = s_.size();
+            fail("unterminated string");
+        }
+        out.append(s_, pos_, stop - pos_);
+        pos_ = stop + 1;
+        if (s_[stop] == '"')
+            return out;
+        if (pos_ >= s_.size())
+            fail("bad escape");
+        switch (s_[pos_++]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+            if (pos_ + 4 > s_.size())
+                fail("bad \\u escape");
+            const unsigned cp = static_cast<unsigned>(std::strtoul(
+                s_.substr(pos_, 4).c_str(), nullptr, 16));
+            pos_ += 4;
+            // Tango strings are ASCII; anything else is replaced.
+            out += cp < 0x80 ? static_cast<char>(cp) : '?';
+            break;
+        }
+        default: fail("bad escape");
         }
     }
-    if (pos_ >= s_.size())
-        fail("unterminated string");
-    pos_++;   // closing quote
-    return out;
 }
 
 Reader::Value
@@ -92,48 +97,42 @@ Reader::value()
 {
     const char c = peek();
     Value v;
-    if (c == '{') {
+    if (c == '{' || c == '[') {
+        if (depth_ == kMaxDepth)
+            fail("nesting too deep");
+        depth_++;
         pos_++;
-        v.kind = Value::Kind::Obj;
-        if (peek() == '}') {
+        const char close = c == '{' ? '}' : ']';
+        v.kind = c == '{' ? Value::Kind::Obj : Value::Kind::Arr;
+        if (peek() == close) {
             pos_++;
-            return v;
+        } else {
+            for (;;) {
+                if (c == '{') {
+                    std::string key = string();
+                    expect(':');
+                    v.obj.emplace_back(std::move(key), value());
+                } else {
+                    v.arr.push_back(value());
+                }
+                const char n = peek();
+                pos_++;
+                if (n == close)
+                    break;
+                if (n != ',')
+                    fail(c == '{' ? "expected , or }" : "expected , or ]");
+            }
         }
-        for (;;) {
-            std::string key = string();
-            expect(':');
-            v.obj.emplace_back(std::move(key), value());
-            const char n = peek();
-            pos_++;
-            if (n == '}')
-                return v;
-            if (n != ',')
-                fail("expected , or }");
-        }
-    }
-    if (c == '[') {
-        pos_++;
-        v.kind = Value::Kind::Arr;
-        if (peek() == ']') {
-            pos_++;
-            return v;
-        }
-        for (;;) {
-            v.arr.push_back(value());
-            const char n = peek();
-            pos_++;
-            if (n == ']')
-                return v;
-            if (n != ',')
-                fail("expected , or ]");
-        }
+        depth_--;
+        return v;
     }
     if (c == '"') {
         v.kind = Value::Kind::Str;
         v.str = string();
         return v;
     }
-    if (c == 't' || c == 'f' || c == 'n') {
+    // "nan" (appendDouble's spelling of a positive NaN) is a number.
+    if (c == 't' || c == 'f' || (c == 'n' && s_.compare(pos_, 3, "nan"))) {
         const char *word = c == 't' ? "true" : c == 'f' ? "false" : "null";
         const size_t len = std::strlen(word);
         if (s_.compare(pos_, len, word) != 0)
@@ -143,15 +142,21 @@ Reader::value()
         v.b = c == 't';
         return v;
     }
-    // Number.
-    const char *start = s_.c_str() + pos_;
-    char *end = nullptr;
-    v.num = std::strtod(start, &end);
-    if (end == start)
-        fail("bad number");
-    pos_ += static_cast<size_t>(end - start);
-    v.kind = Value::Kind::Num;
+    number(v);
     return v;
+}
+
+void
+Reader::number(Value &v)
+{
+    const char *start = s_.data() + pos_;
+    const auto r = std::from_chars(start, s_.data() + s_.size(), v.num);
+    if (r.ec == std::errc::result_out_of_range)
+        fail("number out of range");
+    if (r.ec != std::errc())
+        fail("bad number");
+    pos_ += static_cast<size_t>(r.ptr - start);
+    v.kind = Value::Kind::Num;
 }
 
 void
@@ -159,52 +164,6 @@ Reader::fail(const char *what)
 {
     throw std::runtime_error(std::string("json: ") + what + " at " +
                              std::to_string(pos_));
-}
-
-void
-appendValue(std::string &out, const Reader::Value &v)
-{
-    using Kind = Reader::Value::Kind;
-    switch (v.kind) {
-    case Kind::Null:
-        out += "null";
-        break;
-    case Kind::Bool:
-        out += v.b ? "true" : "false";
-        break;
-    case Kind::Num:
-        appendDouble(out, v.num);
-        break;
-    case Kind::Str:
-        appendEscaped(out, v.str);
-        break;
-    case Kind::Arr: {
-        out += '[';
-        bool first = true;
-        for (const Reader::Value &e : v.arr) {
-            if (!first)
-                out += ',';
-            first = false;
-            appendValue(out, e);
-        }
-        out += ']';
-        break;
-    }
-    case Kind::Obj: {
-        out += '{';
-        bool first = true;
-        for (const auto &[k, e] : v.obj) {
-            if (!first)
-                out += ',';
-            first = false;
-            appendEscaped(out, k);
-            out += ':';
-            appendValue(out, e);
-        }
-        out += '}';
-        break;
-    }
-    }
 }
 
 } // namespace tango::json

@@ -10,7 +10,9 @@
  * bit-exactly.  The reader is a small recursive-descent parser whose
  * token-level primitives (peek/next/expect/string/value) are public so
  * callers can walk a document incrementally (the run cache uses this to
- * salvage the valid prefix of a damaged file).
+ * salvage the valid prefix of a damaged file).  It reads untrusted
+ * network frames, so nesting is capped (kMaxDepth) and numbers a double
+ * cannot hold are refused rather than saturated.
  */
 
 #ifndef TANGO_COMMON_JSON_HH
@@ -26,7 +28,9 @@ namespace tango::json {
 /** Append @p s as a quoted, escaped JSON string. */
 void appendEscaped(std::string &out, const std::string &s);
 
-/** Append @p v with 17 significant digits (exact double round trip). */
+/** Append @p v with 17 significant digits (exact double round trip):
+ *  the bytes of printf's "%.17g", including "inf", "-inf", "nan" and
+ *  "-nan", which the Reader reads back. */
 void appendDouble(std::string &out, double v);
 
 /** Append @p v as a decimal integer. */
@@ -61,6 +65,12 @@ class ObjWriter
         key(name);
         appendEscaped(out_, v);
     }
+    /** A field whose value is already-serialized JSON. */
+    void raw(const char *name, const std::string &json)
+    {
+        key(name);
+        out_ += json;
+    }
 
   private:
     std::string &out_;
@@ -72,6 +82,11 @@ class ObjWriter
 class Reader
 {
   public:
+    /** Deepest array/object nesting value() accepts.  Each level is a
+     *  recursion, so an unbounded run of '[' would overflow the stack;
+     *  real documents (a NetRun) nest about six deep. */
+    static constexpr unsigned kMaxDepth = 256;
+
     struct Value
     {
         enum class Kind { Null, Bool, Num, Str, Arr, Obj } kind = Kind::Null;
@@ -94,9 +109,14 @@ class Reader
             const Value *v = find(key);
             return v && v->kind == Kind::Num ? v->num : dflt;
         }
+        /** Non-integral values truncate; values no uint64_t holds
+         *  (negative, >= 2^64, nan) yield @p dflt. */
         uint64_t u64Or(const char *key, uint64_t dflt = 0) const
         {
-            return static_cast<uint64_t>(numOr(key, double(dflt)));
+            const double d = numOr(key, double(dflt));
+            return d >= 0.0 && d < 18446744073709551616.0
+                       ? static_cast<uint64_t>(d)
+                       : dflt;
         }
         bool boolOr(const char *key, bool dflt = false) const
         {
@@ -155,13 +175,12 @@ class Reader
             pos_++;
     }
 
+    void number(Value &v);
+
     const std::string &s_;
     size_t pos_ = 0;
+    unsigned depth_ = 0;   ///< arrays/objects value() is inside
 };
-
-/** Serialize a parsed Value back to compact JSON (numbers with 17
- *  significant digits, object fields in parsed order). */
-void appendValue(std::string &out, const Reader::Value &v);
 
 } // namespace tango::json
 

@@ -264,17 +264,25 @@ JobSpec::toJson() const
 bool
 JobSpec::fromJson(const std::string &text, JobSpec &out, std::string *err)
 {
+    Reader::Value v;
+    try {
+        v = Reader(text).parse();
+    } catch (const std::exception &e) {
+        if (err)
+            *err = e.what();
+        return false;
+    }
+    return fromValue(v, out, err);
+}
+
+bool
+JobSpec::fromValue(const Reader::Value &v, JobSpec &out, std::string *err)
+{
     const auto fail = [&](const std::string &why) {
         if (err)
             *err = why;
         return false;
     };
-    Reader::Value v;
-    try {
-        v = Reader(text).parse();
-    } catch (const std::exception &e) {
-        return fail(e.what());
-    }
     if (v.kind != Reader::Value::Kind::Obj)
         return fail("job spec must be a JSON object");
 
@@ -333,6 +341,14 @@ JobResult::toJson() const
 {
     std::string out;
     ObjWriter o(out);
+    writeFields(o);
+    o.close();
+    return out;
+}
+
+void
+JobResult::writeFields(ObjWriter &o, const std::string *runJson) const
+{
     o.boolean("ok", ok);
     if (!ok)
         o.str("error", error);
@@ -340,28 +356,37 @@ JobResult::toJson() const
         o.str("served", served);
     o.num("latencyMs", latencyMs);
     if (ok) {
-        o.key("run");
-        out += serializeNetRun(run);
+        if (runJson)
+            o.raw("run", *runJson);
+        else
+            o.raw("run", serializeNetRun(run));
     }
-    o.close();
-    return out;
 }
 
 bool
 JobResult::fromJson(const std::string &text, JobResult &out,
                     std::string *err)
 {
+    Reader::Value v;
+    try {
+        v = Reader(text).parse();
+    } catch (const std::exception &e) {
+        if (err)
+            *err = e.what();
+        return false;
+    }
+    return fromValue(v, out, err);
+}
+
+bool
+JobResult::fromValue(const Reader::Value &v, JobResult &out,
+                     std::string *err)
+{
     const auto fail = [&](const std::string &why) {
         if (err)
             *err = why;
         return false;
     };
-    Reader::Value v;
-    try {
-        v = Reader(text).parse();
-    } catch (const std::exception &e) {
-        return fail(e.what());
-    }
     if (v.kind != Reader::Value::Kind::Obj)
         return fail("job result must be a JSON object");
 

@@ -27,6 +27,7 @@
 
 #include <string>
 
+#include "common/json.hh"
 #include "runtime/runtime.hh"
 #include "sim/config.hh"
 
@@ -149,6 +150,11 @@ struct JobSpec
      */
     static bool fromJson(const std::string &text, JobSpec &out,
                          std::string *err = nullptr);
+
+    /** fromJson() over an already-parsed document (the "job" field of
+     *  a serve run request). */
+    static bool fromValue(const json::Reader::Value &v, JobSpec &out,
+                          std::string *err = nullptr);
 };
 
 /** What one job produced: a NetRun on success, an error otherwise,
@@ -167,6 +173,18 @@ struct JobResult
     std::string toJson() const;
     static bool fromJson(const std::string &text, JobResult &out,
                          std::string *err = nullptr);
+
+    /** fromJson() over an already-parsed document (a serve "result"
+     *  response, whose envelope fields are ignored here). */
+    static bool fromValue(const json::Reader::Value &v, JobResult &out,
+                          std::string *err = nullptr);
+
+    /** Write this result's fields (ok, error, served, latencyMs, run)
+     *  into an open object.  @p runJson, when given, is spliced in as
+     *  "run" in place of serializeNetRun(run): the serve daemon passes
+     *  the body it serialized once for a resident result. */
+    void writeFields(json::ObjWriter &o,
+                     const std::string *runJson = nullptr) const;
 };
 
 /**

@@ -157,12 +157,9 @@ parseRequest(const std::string &text, Request &out, std::string *err)
             setErr(err, "run request is missing its 'job' object");
             return false;
         }
-        // Re-serialize just the job subtree and hand it to the one
-        // canonical JobSpec parser, so run requests and local tools
-        // accept exactly the same specs.
-        std::string body;
-        json::appendValue(body, *job);
-        if (!rt::JobSpec::fromJson(body, req.job, err))
+        // The one canonical JobSpec parser, so run requests and local
+        // tools accept exactly the same specs.
+        if (!rt::JobSpec::fromValue(*job, req.job, err))
             return false;
     } else if (type == "stats") {
         req.type = Request::Type::Stats;
@@ -183,15 +180,18 @@ parseRequest(const std::string &text, Request &out, std::string *err)
 // ------------------------------------------------------------ responses
 
 std::string
-makeResultResponse(uint64_t id, const rt::JobResult &r)
+makeResultResponse(uint64_t id, const rt::JobResult &r,
+                   const std::string *runJson)
 {
     // A result response IS a JobResult object with the envelope fields
-    // spliced in front, so clients parse one shape.
-    std::string out = "{\"type\":\"result\",\"id\":";
-    json::appendU64(out, id);
-    const std::string body = r.toJson();
-    out += ',';
-    out.append(body, 1, body.size() - 1);   // drop the body's '{'
+    // in front, so clients parse one shape.
+    std::string out;
+    out.reserve(128 + (runJson ? runJson->size() : 0));
+    json::ObjWriter o(out);
+    o.str("type", "result");
+    o.u64("id", id);
+    r.writeFields(o, runJson);
+    o.close();
     return out;
 }
 
@@ -211,7 +211,7 @@ parseResultResponse(const std::string &text, uint64_t &id,
         setErr(err, "expected a 'result' response");
         return false;
     }
-    if (!rt::JobResult::fromJson(text, out, err))
+    if (!rt::JobResult::fromValue(v, out, err))
         return false;
     id = v.u64Or("id", 0);
     return true;

@@ -75,8 +75,13 @@ bool parseRequest(const std::string &text, Request &out,
 
 // ------------------------------------------------------------ responses
 
-/** A JobResult as a "result" response frame for request @p id. */
-std::string makeResultResponse(uint64_t id, const rt::JobResult &r);
+/** A JobResult as a "result" response frame for request @p id: the
+ *  envelope ("type", "id") followed by the JobResult's fields.  Given
+ *  @p runJson (rt::serializeNetRun(r.run), serialized once by the
+ *  caller), its bytes become the "run" field and r.run is not read;
+ *  the frame is byte-identical either way. */
+std::string makeResultResponse(uint64_t id, const rt::JobResult &r,
+                               const std::string *runJson = nullptr);
 
 /** Parse a "result" response; @p id receives the echoed request id. */
 bool parseResultResponse(const std::string &text, uint64_t &id,

@@ -15,6 +15,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "metrics/metrics.hh"
+#include "runtime/run_cache.hh"
 
 namespace tango::serve {
 
@@ -390,10 +391,10 @@ Server::handleRun(const Request &req)
         }
     }
 
+    const std::string *body = nullptr;
     try {
-        const rt::NetRun *run = sub.future.get();
+        body = &runJson(*sub.future.get());
         res.ok = true;
-        res.run = *run;
         res.served = sub.served == Served::Simulated ? "sim"
                      : sub.served == Served::Joined  ? "join"
                      : sub.served == Served::MemHit  ? "mem"
@@ -407,7 +408,21 @@ Server::handleRun(const Request &req)
     res.latencyMs = nowMs() - t0;
     recordLatency(res.latencyMs);
     release();
-    return makeResultResponse(req.id, res);
+    return makeResultResponse(req.id, res, body);
+}
+
+const std::string &
+Server::runJson(const rt::NetRun &run)
+{
+    Body *b = nullptr;
+    {
+        std::unique_lock<std::mutex> lock(bodiesMu_);
+        b = &bodies_[&run];   // node-based: the address stays valid
+    }
+    // Serialize outside the map lock; concurrent first responses for
+    // the same result (joins) wait here for the one serialization.
+    std::call_once(b->once, [&] { b->json = rt::serializeNetRun(run); });
+    return b->json;
 }
 
 void

@@ -11,7 +11,9 @@
  *    clients submitting the same cold JobSpec trigger exactly one
  *    simulation, and all N block on its shared future;
  *  - warm serving: repeat jobs are memory (or disk-spill) hits and
- *    return in microseconds;
+ *    return in microseconds — each resident NetRun is serialized once,
+ *    on its first served response, and later responses splice that
+ *    body into their envelope (no NetRun copy, no re-serialization);
  *  - backpressure: admission is bounded — a run request that would
  *    start a NEW simulation while queueMax are already in flight is
  *    rejected with a "queue_full" error result (hits and joins are
@@ -37,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "metrics/metrics.hh"
@@ -136,6 +139,7 @@ class Server
     void connectionLoop(int fd);
     std::string handleRequest(const std::string &payload);
     std::string handleRun(const Request &req);
+    const std::string &runJson(const rt::NetRun &run);
     void recordLatency(double ms);
 
     ServerOptions opt_;
@@ -158,6 +162,18 @@ class Server
      *  reply is this server's view); the process-wide registry carries
      *  a second copy under tango_serve_latency_us for scrapes. */
     metrics::Histogram latencyUs_;
+
+    /** serializeNetRun() of a resident result, built at most once. */
+    struct Body
+    {
+        std::once_flag once;
+        std::string json;
+    };
+    /** Keyed by the Engine's result address, which is stable and never
+     *  reused while engine_ lives: entries share the NetRun's lifetime.
+     *  Grows by one body per resident result that has been served. */
+    std::mutex bodiesMu_;
+    std::unordered_map<const rt::NetRun *, Body> bodies_;
 };
 
 } // namespace tango::serve

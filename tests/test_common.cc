@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG determinism, StatSet
- * arithmetic and Table formatting.
+ * arithmetic, Table formatting and the JSON writer/reader.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -199,6 +204,138 @@ TEST(Logging, JsonModeRequiresExactlyOne)
     ::setenv("TANGO_LOG_JSON", "yes", 1);
     EXPECT_FALSE(logJsonMode());
     ::unsetenv("TANGO_LOG_JSON");
+}
+
+// ------------------------------------------------------------------- json
+
+/** The message of the exception Reader(text).parse() throws, or "". */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        json::Reader(text).parse();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+printfDouble(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+TEST(Json, WriterMatchesPrintfAndToString)
+{
+    // The writer's bytes are the wire and disk-spill format: they must
+    // stay exactly printf("%.17g") and std::to_string, over random bit
+    // patterns (subnormals, inf and nan included) and the edge values.
+    std::vector<double> doubles = {
+        0.0, -0.0, 1.0, 0.1, 1e21, 1e-7, 123456789012345678.0,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()};
+    std::vector<uint64_t> ints = {0, 1, 9, 10, 99, 100,
+                                  std::numeric_limits<uint64_t>::max()};
+    Rng rng(2019);
+    for (int i = 0; i < 200000; i++) {
+        const uint64_t bits = (uint64_t(rng.next()) << 32) ^ rng.next();
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        doubles.push_back(d);
+        ints.push_back(bits >> (i % 64));
+    }
+    for (double d : doubles) {
+        std::string out;
+        json::appendDouble(out, d);
+        ASSERT_EQ(out, printfDouble(d));
+        if (std::isnan(d))
+            continue;
+        // ...and the reader returns the very same double.
+        const double back = json::Reader(out).parse().num;
+        ASSERT_EQ(std::memcmp(&back, &d, sizeof d), 0) << out;
+    }
+    for (uint64_t v : ints) {
+        std::string out;
+        json::appendU64(out, v);
+        ASSERT_EQ(out, std::to_string(v));
+    }
+}
+
+TEST(Json, InfAndNanRoundTrip)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::string doc;
+    json::ObjWriter o(doc);
+    o.num("inf", inf);
+    o.num("ninf", -inf);
+    o.num("nan", nan);
+    o.num("nnan", -nan);
+    o.close();
+    EXPECT_EQ(doc, R"({"inf":inf,"ninf":-inf,"nan":nan,"nnan":-nan})");
+
+    const json::Reader::Value v = json::Reader(doc).parse();
+    EXPECT_EQ(v.numOr("inf"), inf);
+    EXPECT_EQ(v.numOr("ninf"), -inf);
+    EXPECT_TRUE(std::isnan(v.numOr("nan")));
+    EXPECT_FALSE(std::signbit(v.numOr("nan")));
+    EXPECT_TRUE(std::isnan(v.numOr("nnan")));
+    EXPECT_TRUE(std::signbit(v.numOr("nnan")));
+    // null is still null, and other n-words are still errors.
+    EXPECT_EQ(json::Reader("null").parse().kind,
+              json::Reader::Value::Kind::Null);
+    EXPECT_NE(parseError("nope"), "");
+}
+
+TEST(Json, OutOfRangeNumbersRejected)
+{
+    for (const char *text : {"1e999", "-1e999", "[1e-999]"})
+        EXPECT_NE(parseError(text).find("json: number out of range"),
+                  std::string::npos)
+            << text;
+    // Values no uint64_t holds fall back to the default, never UB.
+    const json::Reader::Value v =
+        json::Reader(R"({"a":-1,"b":1e300,"c":-nan,"d":42.9})").parse();
+    EXPECT_EQ(v.u64Or("a", 7), 7u);
+    EXPECT_EQ(v.u64Or("b", 7), 7u);
+    EXPECT_EQ(v.u64Or("c", 7), 7u);
+    EXPECT_EQ(v.u64Or("d", 7), 42u);
+}
+
+TEST(Json, NestingDepthCapped)
+{
+    const unsigned cap = json::Reader::kMaxDepth;
+    const std::string ok =
+        std::string(cap, '[') + std::string(cap, ']');
+    EXPECT_EQ(parseError(ok), "");
+    const std::string deep =
+        std::string(cap + 1, '[') + std::string(cap + 1, ']');
+    EXPECT_NE(parseError(deep).find("json: nesting too deep"),
+              std::string::npos);
+    // A frame-sized run of '[' throws instead of overflowing the stack.
+    EXPECT_NE(parseError(std::string(1 << 20, '[')).find("nesting too deep"),
+              std::string::npos);
+    EXPECT_NE(parseError(std::string(1 << 20, '{')), "");
+}
+
+TEST(Json, StringEscapesRoundTrip)
+{
+    const std::string s = "plain \"quoted\" back\\slash\nline\ttab\x01 end";
+    std::string doc;
+    json::appendEscaped(doc, s);
+    EXPECT_EQ(json::Reader(doc).parse().str, s);
+    EXPECT_EQ(json::Reader(R"("a\/b\u0041\r")").parse().str, "a/bA\r");
+    EXPECT_NE(parseError(R"("unterminated)"), "");
+    EXPECT_NE(parseError(R"("bad \q escape")"), "");
+    EXPECT_NE(parseError("\"trailing backslash\\"), "");
 }
 
 } // namespace

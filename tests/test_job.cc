@@ -89,6 +89,20 @@ TEST(Job, SpecFromJsonRejectsGarbage)
         << "policy and runPolicy are mutually exclusive";
 }
 
+TEST(Job, SpecFromJsonRejectsOutOfRangeNumbers)
+{
+    // A number no double holds is refused by the reader, not saturated
+    // to inf and then cast to an integer field.
+    JobSpec out;
+    out.net = "untouched";
+    std::string err;
+    EXPECT_FALSE(JobSpec::fromJson(R"({"net":"gru","l1dBytes":1e999})",
+                                   out, &err));
+    EXPECT_NE(err.find("json: number out of range"), std::string::npos)
+        << err;
+    EXPECT_EQ(out.net, "untouched");
+}
+
 // ----------------------------------------------------------------- cache keys
 
 TEST(Job, CacheKeyMatchesRunKeyString)

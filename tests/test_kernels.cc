@@ -84,6 +84,15 @@ struct ConvCase
     PixelMap pix;
 };
 
+// Print a case by its name: gtest's default byte dump would put the
+// string pointer and padding bytes into the listed test names, which
+// then differ from one run to the next.
+void
+PrintTo(const ConvCase &cs, std::ostream *os)
+{
+    *os << cs.name;
+}
+
 class ConvMapping : public ::testing::TestWithParam<ConvCase>
 {
 };
@@ -278,6 +287,12 @@ struct PoolCase
     bool avg;
     uint32_t win, stride, pad;
 };
+
+void
+PrintTo(const PoolCase &pc, std::ostream *os)
+{
+    *os << pc.name;
+}
 
 class PoolKinds : public ::testing::TestWithParam<PoolCase>
 {

@@ -11,10 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <netinet/in.h>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
@@ -211,7 +216,198 @@ expectRunsAccounted(const serve::Server::Metrics &m,
               m.servedSim + m.servedJoin + m.servedMem + m.servedDisk);
 }
 
+/** A raw protocol connection: whole frames out and in, so tests see the
+ *  exact response bytes (serve::Client parses them away). */
+class RawConn
+{
+  public:
+    explicit RawConn(uint16_t port)
+    {
+        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(port);
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        if (fd_ < 0 || ::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                                 sizeof addr) != 0)
+            ADD_FAILURE() << "raw connect to port " << port << " failed";
+    }
+    ~RawConn() { ::close(fd_); }
+
+    RawConn(const RawConn &) = delete;
+    RawConn &operator=(const RawConn &) = delete;
+
+    /** Send @p frame and return the response payload ("" on error). */
+    std::string roundTrip(const std::string &frame)
+    {
+        std::string response;
+        if (!serve::writeFrame(fd_, frame) ||
+            serve::readFrame(fd_, response) != serve::FrameStatus::Ok)
+            ADD_FAILURE() << "raw round trip failed";
+        return response;
+    }
+
+  private:
+    int fd_ = -1;
+};
+
 // ------------------------------------------------------------------- serving
+
+TEST(Serve, DeeplyNestedFrameIsABadRequestNotACrash)
+{
+    // Well under kMaxFrameBytes; before the reader capped its nesting
+    // this recursed once per byte and killed the daemon.
+    TestServer ts;
+    RawConn conn(ts.server.port());
+    const std::string response =
+        conn.roundTrip(std::string(1 << 20, '['));
+
+    uint64_t id = 99;
+    JobResult res;
+    std::string err;
+    ASSERT_TRUE(serve::parseResultResponse(response, id, res, &err)) << err;
+    EXPECT_EQ(id, 0u);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error.rfind("bad request: json: nesting too deep", 0), 0u)
+        << res.error;
+
+    // The same connection and new ones are still served.
+    EXPECT_EQ(conn.roundTrip(serve::makePingRequest()), "{\"type\":\"pong\"}");
+    serve::Client client = ts.connect();
+    EXPECT_TRUE(client.ping(&err)) << err;
+    EXPECT_EQ(ts.server.metrics().invalid, 1u);
+}
+
+TEST(Serve, OutOfRangeNumberInRunRequestIsRefused)
+{
+    TestServer ts;
+    RawConn conn(ts.server.port());
+    const std::string response = conn.roundTrip(
+        R"({"type":"run","id":3,"job":{"net":"gru","l1dBytes":1e999}})");
+    uint64_t id = 99;
+    JobResult res;
+    std::string err;
+    ASSERT_TRUE(serve::parseResultResponse(response, id, res, &err)) << err;
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("json: number out of range"), std::string::npos)
+        << res.error;
+    EXPECT_EQ(ts.server.metrics().runRequests, 0u);
+}
+
+/** A cheap stand-in result whose statistics exercise every number
+ *  spelling the writer has (inf, nan, subnormal, 17-digit). */
+NetRun
+syntheticRun(const JobSpec &spec)
+{
+    NetRun run;
+    run.netName = spec.net;
+    run.deviceBytes = 123456789;
+    run.totalTimeSec = 0.001234567890123456;
+    run.totalEnergyJ = std::numeric_limits<double>::denorm_min();
+    run.peakPowerW = std::numeric_limits<double>::infinity();
+    run.totals.set("sim.cycles", 987654321.0);
+    run.totals.set("x.nan", std::numeric_limits<double>::quiet_NaN());
+    run.layers.emplace_back();
+    run.layers.back().name = "conv \"1\"";
+    run.layers.back().kernels.emplace_back();
+    run.layers.back().kernels.back().name = "k0";
+    run.layers.back().kernels.back().gpuCycles = 1e21;
+    return run;
+}
+
+/** The response frame of a run request, checked byte for byte against
+ *  makeResultResponse over the engine's resident NetRun (latencyMs
+ *  taken from the response: doubles round-trip exactly). */
+void
+expectServedBytes(serve::Server &server, const std::string &response,
+                  uint64_t id, const JobSpec &job, const char *served)
+{
+    uint64_t gotId = 0;
+    JobResult got;
+    std::string err;
+    ASSERT_TRUE(serve::parseResultResponse(response, gotId, got, &err))
+        << err;
+    ASSERT_TRUE(got.ok) << got.error;
+    EXPECT_EQ(gotId, id);
+    EXPECT_EQ(got.served, served);
+
+    const rt::Engine::Submitted sub = server.engine().submitJob(job);
+    ASSERT_EQ(sub.served, rt::Engine::Submitted::Served::MemHit);
+    JobResult want;
+    want.ok = true;
+    want.served = served;
+    want.latencyMs = got.latencyMs;
+    want.run = *sub.future.get();
+    EXPECT_EQ(response, serve::makeResultResponse(id, want)) << served;
+}
+
+TEST(Serve, ResponseBytesIdenticalForEveryServedKind)
+{
+    const std::string cache = ::testing::TempDir() + "/serve_bytes.json";
+    std::remove(cache.c_str());
+
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    serve::ServerOptions opt;
+    opt.engine.cachePath = cache;
+    opt.runner = [gate](sim::Gpu &gpu, const JobSpec &spec) {
+        if (spec.tier == rt::Tier::Estimate)
+            return rt::runJob(gpu, spec);   // the real estimate tier
+        gate.wait();
+        return syntheticRun(spec);
+    };
+
+    JobSpec job;
+    job.net = "cifarnet";
+    JobSpec est = job;
+    est.tier = rt::Tier::Estimate;
+    {
+        TestServer ts(opt);
+        // sim + join: the second request arrives while the first is
+        // pinned in flight.
+        RawConn a(ts.server.port()), b(ts.server.port());
+        auto first = std::async(std::launch::async, [&] {
+            return a.roundTrip(serve::makeRunRequest(1, job));
+        });
+        while (ts.server.engine().inFlightSims() == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        auto joined = std::async(std::launch::async, [&] {
+            return b.roundTrip(serve::makeRunRequest(2, job));
+        });
+        while (ts.server.metrics().servedJoin == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        release.set_value();
+        expectServedBytes(ts.server, first.get(), 1, job, "sim");
+        expectServedBytes(ts.server, joined.get(), 2, job, "join");
+
+        // mem: a warm hit, twice (the second reuses the cached body).
+        for (uint64_t id : {3, 4})
+            expectServedBytes(ts.server,
+                              a.roundTrip(serve::makeRunRequest(id, job)),
+                              id, job, "mem");
+
+        // The estimate tier, cold then warm.
+        expectServedBytes(ts.server,
+                          a.roundTrip(serve::makeRunRequest(5, est)), 5,
+                          est, "sim");
+        expectServedBytes(ts.server,
+                          b.roundTrip(serve::makeRunRequest(6, est)), 6,
+                          est, "mem");
+        EXPECT_TRUE(ts.server.engine().submitJob(est).future.get()->estimated)
+            << "the estimate tier must answer from its models here";
+    }   // drain flushes the disk spill
+
+    // disk: a fresh server recalls both results from the spill.
+    TestServer ts(opt);
+    RawConn c(ts.server.port());
+    expectServedBytes(ts.server, c.roundTrip(serve::makeRunRequest(7, job)),
+                      7, job, "disk");
+    expectServedBytes(ts.server, c.roundTrip(serve::makeRunRequest(8, est)),
+                      8, est, "disk");
+    EXPECT_EQ(ts.server.engine().cacheStats().misses, 0u);
+    std::remove(cache.c_str());
+}
+
 
 TEST(Serve, PingStatsAndInvalidSpec)
 {
