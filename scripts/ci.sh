@@ -2,10 +2,12 @@
 # One-command CI gate: default build + full test suite (including the
 # golden-stats corpus) + the TANGO_SIM_SHARDS={1,2,4} golden matrix +
 # the parallel-determinism tier + a tango-trace export validated as
-# JSON + ThreadSanitizer engine/trace/parallel tests.
+# JSON + AddressSanitizer decoder/serve tests + ThreadSanitizer
+# engine/trace/parallel tests.
 #
 #   scripts/ci.sh            # everything
-#   SKIP_TSAN=1 scripts/ci.sh  # skip the sanitizer stage (e.g. no tsan rt)
+#   SKIP_ASAN=1 scripts/ci.sh  # skip the AddressSanitizer stage
+#   SKIP_TSAN=1 scripts/ci.sh  # skip the tsan stage (e.g. no tsan rt)
 #   SKIP_SERVE=1 scripts/ci.sh # skip the tango-serve daemon stage
 #   SKIP_FIT=1 scripts/ci.sh   # skip the estimate-tier fit/check stage
 set -euo pipefail
@@ -166,6 +168,15 @@ if [[ "${SKIP_FIT:-0}" != "1" ]]; then
         build/tools/tango-fit --check --weights "$fitdir/weights" \
         --nets alexnet,gru --max-p95 0.15
     rm -rf "$fitdir"
+fi
+
+if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
+    echo "=== AddressSanitizer: JSON reader, NetRun decoder, serve frames ==="
+    # The decoders read untrusted frames; the preset builds only the
+    # test_common, test_job and test_serve binaries.
+    cmake --preset asan
+    cmake --build --preset asan -j
+    ctest --preset asan -j
 fi
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -57,7 +56,7 @@ Reader::string()
     std::string out;
     for (;;) {
         // Copy the run up to the next quote or escape in one append.
-        const size_t stop = s_.find_first_of("\"\\", pos_);
+        const size_t stop = quoteOrEscape();
         if (stop == std::string::npos) {
             pos_ = s_.size();
             fail("unterminated string");
@@ -78,10 +77,12 @@ Reader::string()
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-            if (pos_ + 4 > s_.size())
+            // Exactly four hex digits: no sign, no spaces, no fewer.
+            unsigned cp = 0;
+            const char *hex = s_.data() + pos_;
+            if (pos_ + 4 > s_.size() ||
+                std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4)
                 fail("bad \\u escape");
-            const unsigned cp = static_cast<unsigned>(std::strtoul(
-                s_.substr(pos_, 4).c_str(), nullptr, 16));
             pos_ += 4;
             // Tango strings are ASCII; anything else is replaced.
             out += cp < 0x80 ? static_cast<char>(cp) : '?';
@@ -90,6 +91,50 @@ Reader::string()
         default: fail("bad escape");
         }
     }
+}
+
+std::string_view
+Reader::stringView(std::string &scratch)
+{
+    expect('"');
+    const size_t stop = quoteOrEscape();
+    if (stop != std::string::npos && s_[stop] == '"') {
+        const std::string_view out(s_.data() + pos_, stop - pos_);
+        pos_ = stop + 1;
+        return out;
+    }
+    pos_--;   // an escape (or no end): let string() decode it
+    scratch = string();
+    return scratch;
+}
+
+double
+Reader::number()
+{
+    skipWs();
+    // Fast path: most numbers are counters, plain integers.  Up to 15
+    // digits are below 2^53, so the double is exact, as from_chars'.
+    size_t i = pos_ + (pos_ < s_.size() && s_[pos_] == '-');
+    const size_t first = i;
+    uint64_t n = 0;
+    while (i < s_.size() && i - first < 16 && s_[i] >= '0' && s_[i] <= '9')
+        n = n * 10 + static_cast<uint64_t>(s_[i++] - '0');
+    if (i > first && i - first < 16 &&
+        (i == s_.size() || (s_[i] != '.' && s_[i] != 'e' && s_[i] != 'E'))) {
+        const bool neg = first != pos_;
+        pos_ = i;
+        return neg ? -static_cast<double>(n) : static_cast<double>(n);
+    }
+
+    double v = 0.0;
+    const char *start = s_.data() + pos_;
+    const auto r = std::from_chars(start, s_.data() + s_.size(), v);
+    if (r.ec == std::errc::result_out_of_range)
+        fail("number out of range");
+    if (r.ec != std::errc())
+        fail("bad number");
+    pos_ += static_cast<size_t>(r.ptr - start);
+    return v;
 }
 
 Reader::Value
@@ -101,27 +146,14 @@ Reader::value()
         if (depth_ == kMaxDepth)
             fail("nesting too deep");
         depth_++;
-        pos_++;
-        const char close = c == '{' ? '}' : ']';
-        v.kind = c == '{' ? Value::Kind::Obj : Value::Kind::Arr;
-        if (peek() == close) {
-            pos_++;
+        if (c == '{') {
+            v.kind = Value::Kind::Obj;
+            members([&](std::string_view key) {
+                v.obj.emplace_back(std::string(key), value());
+            });
         } else {
-            for (;;) {
-                if (c == '{') {
-                    std::string key = string();
-                    expect(':');
-                    v.obj.emplace_back(std::move(key), value());
-                } else {
-                    v.arr.push_back(value());
-                }
-                const char n = peek();
-                pos_++;
-                if (n == close)
-                    break;
-                if (n != ',')
-                    fail(c == '{' ? "expected , or }" : "expected , or ]");
-            }
+            v.kind = Value::Kind::Arr;
+            elements([&] { v.arr.push_back(value()); });
         }
         depth_--;
         return v;
@@ -142,21 +174,9 @@ Reader::value()
         v.b = c == 't';
         return v;
     }
-    number(v);
-    return v;
-}
-
-void
-Reader::number(Value &v)
-{
-    const char *start = s_.data() + pos_;
-    const auto r = std::from_chars(start, s_.data() + s_.size(), v.num);
-    if (r.ec == std::errc::result_out_of_range)
-        fail("number out of range");
-    if (r.ec != std::errc())
-        fail("bad number");
-    pos_ += static_cast<size_t>(r.ptr - start);
+    v.num = number();
     v.kind = Value::Kind::Num;
+    return v;
 }
 
 void

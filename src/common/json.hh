@@ -7,12 +7,15 @@
  *
  * The writer is a handful of append helpers over std::string — doubles
  * are written with 17 significant digits so every value round-trips
- * bit-exactly.  The reader is a small recursive-descent parser whose
- * token-level primitives (peek/next/expect/string/value) are public so
- * callers can walk a document incrementally (the run cache uses this to
- * salvage the valid prefix of a damaged file).  It reads untrusted
- * network frames, so nesting is capped (kMaxDepth) and numbers a double
- * cannot hold are refused rather than saturated.
+ * bit-exactly.  The reader is a small recursive-descent parser.  Its
+ * pull primitives (peek/next/expect/string/stringView/number/members/
+ * elements/value) are public so a caller can decode a document straight
+ * from the text in one pass, with no Value tree: rt::readNetRun does this
+ * for result frames, spill files and golden fixtures, and the run cache
+ * uses it to salvage the valid prefix of a damaged file.  value() builds
+ * a tree for small documents and skips unknown fields.  It reads
+ * untrusted network frames, so nesting is capped (kMaxDepth) and numbers
+ * a double cannot hold are refused rather than saturated.
  */
 
 #ifndef TANGO_COMMON_JSON_HH
@@ -20,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,6 +81,15 @@ class ObjWriter
     bool first_ = true;
 };
 
+/** @p d as a uint64_t.  Non-integral values truncate; values no
+ *  uint64_t holds (negative, >= 2^64, nan) yield @p dflt. */
+inline uint64_t
+toU64(double d, uint64_t dflt = 0)
+{
+    return d >= 0.0 && d < 18446744073709551616.0 ? static_cast<uint64_t>(d)
+                                                  : dflt;
+}
+
 /** A recursive-descent JSON reader over an in-memory buffer.
  *  Parse errors throw std::runtime_error. */
 class Reader
@@ -96,11 +109,12 @@ class Reader
         std::vector<Value> arr;
         std::vector<std::pair<std::string, Value>> obj;
 
+        /** The member @p key; the last one when a key repeats. */
         const Value *find(const char *key) const
         {
-            for (const auto &[k, v] : obj) {
-                if (k == key)
-                    return &v;
+            for (auto it = obj.rbegin(); it != obj.rend(); ++it) {
+                if (it->first == key)
+                    return &it->second;
             }
             return nullptr;
         }
@@ -109,14 +123,10 @@ class Reader
             const Value *v = find(key);
             return v && v->kind == Kind::Num ? v->num : dflt;
         }
-        /** Non-integral values truncate; values no uint64_t holds
-         *  (negative, >= 2^64, nan) yield @p dflt. */
+        /** See toU64(). */
         uint64_t u64Or(const char *key, uint64_t dflt = 0) const
         {
-            const double d = numOr(key, double(dflt));
-            return d >= 0.0 && d < 18446744073709551616.0
-                       ? static_cast<uint64_t>(d)
-                       : dflt;
+            return toU64(numOr(key, double(dflt)), dflt);
         }
         bool boolOr(const char *key, bool dflt = false) const
         {
@@ -136,10 +146,16 @@ class Reader
     Value parse()
     {
         Value v = value();
+        end();
+        return v;
+    }
+
+    /** Require that nothing but whitespace is left. */
+    void end()
+    {
         skipWs();
         if (pos_ != s_.size())
             fail("trailing characters");
-        return v;
     }
 
     char peek()
@@ -163,10 +179,79 @@ class Reader
     }
 
     std::string string();
+
+    /** A string token (an object key) as a view into the buffer, or,
+     *  only when it has an escape, into @p scratch via string().  The
+     *  view is valid until @p scratch next changes. */
+    std::string_view stringView(std::string &scratch);
+
+    /** A number token (including "inf"/"nan", which appendDouble
+     *  writes).  Anything else fails with "bad number". */
+    double number();
+
+    /**
+     * Walk the object at the cursor: for each member call
+     * @p onKey(key), which must consume the member's value.  @p key
+     * stays valid for the whole call.  A key that repeats is simply
+     * seen again, so a caller that assigns gets "last one wins".
+     */
+    template <class F>
+    void members(F &&onKey)
+    {
+        expect('{');
+        if (peek() == '}') {
+            pos_++;
+            return;
+        }
+        std::string scratch;
+        for (;;) {
+            const std::string_view key = stringView(scratch);
+            expect(':');
+            onKey(key);
+            const char n = next();
+            if (n == '}')
+                return;
+            if (n != ',')
+                fail("expected , or }");
+        }
+    }
+
+    /** Walk the array at the cursor, calling @p onElement() once per
+     *  element; it must consume the element. */
+    template <class F>
+    void elements(F &&onElement)
+    {
+        expect('[');
+        if (peek() == ']') {
+            pos_++;
+            return;
+        }
+        for (;;) {
+            onElement();
+            const char n = next();
+            if (n == ']')
+                return;
+            if (n != ',')
+                fail("expected , or ]");
+        }
+    }
+
     Value value();
 
   private:
     [[noreturn]] void fail(const char *what);
+
+    /** Index of the next '"' or '\\' at or after pos_, or npos.  A
+     *  plain loop: find_first_of calls memchr once per character. */
+    size_t quoteOrEscape() const
+    {
+        for (size_t i = pos_; i < s_.size(); i++) {
+            if (s_[i] == '"' || s_[i] == '\\')
+                return i;
+        }
+        return std::string::npos;
+    }
+
     void skipWs()
     {
         while (pos_ < s_.size() &&
@@ -174,8 +259,6 @@ class Reader
                 s_[pos_] == '\r'))
             pos_++;
     }
-
-    void number(Value &v);
 
     const std::string &s_;
     size_t pos_ = 0;

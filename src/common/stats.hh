@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tango {
@@ -23,6 +24,13 @@ class StatSet
 
     /** Set counter @p name to @p v. */
     void set(const std::string &name, double v);
+
+    /** set(), in O(1) when @p name sorts after every counter already
+     *  present, as when reading a serialized (name-ordered) set. */
+    void append(std::string_view name, double v)
+    {
+        stats_.insert_or_assign(stats_.end(), std::string(name), v);
+    }
 
     /** @return value of @p name, or 0 if absent. */
     double get(const std::string &name) const;

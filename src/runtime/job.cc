@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -367,42 +368,49 @@ bool
 JobResult::fromJson(const std::string &text, JobResult &out,
                     std::string *err)
 {
-    Reader::Value v;
     try {
-        v = Reader(text).parse();
+        Reader p(text);
+        Reader::Value fields;
+        JobResult res = read(p, fields);
+        p.end();
+        out = std::move(res);
+        return true;
     } catch (const std::exception &e) {
         if (err)
             *err = e.what();
         return false;
     }
-    return fromValue(v, out, err);
 }
 
-bool
-JobResult::fromValue(const Reader::Value &v, JobResult &out,
-                     std::string *err)
+JobResult
+JobResult::read(Reader &p, Reader::Value &fields)
 {
-    const auto fail = [&](const std::string &why) {
-        if (err)
-            *err = why;
-        return false;
-    };
-    if (v.kind != Reader::Value::Kind::Obj)
-        return fail("job result must be a JSON object");
-
+    if (p.peek() != '{')
+        throw std::runtime_error("job result must be a JSON object");
     JobResult res;
-    res.ok = v.boolOr("ok", false);
-    res.error = v.strOr("error");
-    res.served = v.strOr("served");
-    res.latencyMs = v.numOr("latencyMs");
-    if (res.ok) {
-        const Reader::Value *run = v.find("run");
-        if (!run || run->kind != Reader::Value::Kind::Obj)
-            return fail("ok result is missing its 'run' object");
-        res.run = netRunFromJson(*run);
-    }
-    out = std::move(res);
-    return true;
+    bool hasRun = false;
+    fields = Reader::Value();
+    fields.kind = Reader::Value::Kind::Obj;
+    p.members([&](std::string_view key) {
+        if (key != "run") {
+            fields.obj.emplace_back(std::string(key), p.value());
+            return;
+        }
+        hasRun = p.peek() == '{';
+        if (hasRun)
+            res.run = readNetRun(p);
+        else
+            p.value();
+    });
+    res.ok = fields.boolOr("ok", false);
+    res.error = fields.strOr("error");
+    res.served = fields.strOr("served");
+    res.latencyMs = fields.numOr("latencyMs");
+    if (res.ok && !hasRun)
+        throw std::runtime_error("ok result is missing its 'run' object");
+    if (!res.ok)
+        res.run = NetRun();   // "run" is only valid when ok
+    return res;
 }
 
 // ------------------------------------------------------------------ running

@@ -174,10 +174,16 @@ struct JobResult
     static bool fromJson(const std::string &text, JobResult &out,
                          std::string *err = nullptr);
 
-    /** fromJson() over an already-parsed document (a serve "result"
-     *  response, whose envelope fields are ignored here). */
-    static bool fromValue(const json::Reader::Value &v, JobResult &out,
-                          std::string *err = nullptr);
+    /**
+     * Decode the result object at @p p's cursor in one pass (the body
+     * of fromJson()).  "run" goes straight to readNetRun(); every other
+     * member is read with Reader::value() into the object @p fields,
+     * where the caller finds any it owns (a serve response's "type"
+     * and "id").  A repeated key's last value wins.
+     * @throws std::runtime_error on malformed JSON or an ok result
+     *         without a "run" object.
+     */
+    static JobResult read(json::Reader &p, json::Reader::Value &fields);
 
     /** Write this result's fields (ok, error, served, latencyMs, run)
      *  into an open object.  @p runJson, when given, is spliced in as

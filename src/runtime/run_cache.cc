@@ -164,159 +164,267 @@ appendLayerRun(std::string &out, const LayerRun &l)
     o.close();
 }
 
-// ---------------------------------------------------------------- parser
+// ---------------------------------------------------------------- reader
 
-/** The shared recursive-descent reader (common/json.hh).  Its
- *  token-level primitives let loadRunCache walk the top-level "runs"
- *  object entry by entry and salvage the valid prefix of a damaged
- *  file. */
+/** The shared pull reader (common/json.hh).  NetRuns are decoded
+ *  straight from the text by key dispatch, with no Value tree.  Inside
+ *  a NetRun the decoder is lenient, as a field-by-field lookup would
+ *  be: an unknown key is skipped, a value of the wrong type leaves the
+ *  field at its default, and a repeated key's last value wins. */
 using Json = json::Reader;
 
-sim::Dim3
-parseDim3(const Json::Value &v)
+/** A number, or @p dflt when the value is of another type. */
+double
+readNum(Json &p, double dflt)
 {
-    sim::Dim3 d;
-    if (v.kind == Json::Value::Kind::Arr && v.arr.size() == 3) {
-        d.x = static_cast<uint32_t>(v.arr[0].num);
-        d.y = static_cast<uint32_t>(v.arr[1].num);
-        d.z = static_cast<uint32_t>(v.arr[2].num);
-    }
-    return d;
+    const char c = p.peek();
+    if (c == '-' || (c >= '0' && c <= '9'))
+        return p.number();
+    const Json::Value v = p.value();   // "inf"/"nan", or another type
+    return v.kind == Json::Value::Kind::Num ? v.num : dflt;
+}
+
+uint64_t
+readU64(Json &p, uint64_t dflt = 0)
+{
+    return json::toU64(readNum(p, double(dflt)), dflt);
+}
+
+std::string
+readStr(Json &p)
+{
+    if (p.peek() == '"')
+        return p.string();
+    p.value();
+    return {};
+}
+
+/** Json::members(), or skip a value that is not an object. */
+template <class F>
+void
+readObject(Json &p, F &&onKey)
+{
+    if (p.peek() == '{')
+        p.members(onKey);
+    else
+        p.value();
+}
+
+/** Json::elements(), or skip a value that is not an array. */
+template <class F>
+void
+readArray(Json &p, F &&onElement)
+{
+    if (p.peek() == '[')
+        p.elements(onElement);
+    else
+        p.value();
 }
 
 StatSet
-parseStatSet(const Json::Value &v)
+readStatSet(Json &p)
 {
     StatSet st;
-    for (const auto &[name, val] : v.obj)
-        st.set(name, val.num);
+    readObject(p, [&](std::string_view name) {
+        st.append(name, readNum(p, 0.0));
+    });
     return st;
 }
 
 std::vector<uint64_t>
-parseU64Vec(const Json::Value *v)
+readU64Vec(Json &p)
 {
     std::vector<uint64_t> out;
-    if (v == nullptr || v->kind != Json::Value::Kind::Arr)
-        return out;
-    out.reserve(v->arr.size());
-    for (const auto &e : v->arr)
-        out.push_back(static_cast<uint64_t>(e.num));
+    readArray(p, [&] { out.push_back(readU64(p)); });
     return out;
 }
 
+sim::Dim3
+readDim3(Json &p)
+{
+    const std::vector<uint64_t> xyz = readU64Vec(p);
+    sim::Dim3 d;
+    if (xyz.size() == 3) {
+        d.x = static_cast<uint32_t>(xyz[0]);
+        d.y = static_cast<uint32_t>(xyz[1]);
+        d.z = static_cast<uint32_t>(xyz[2]);
+    }
+    return d;
+}
+
 std::vector<std::string>
-parseStrVec(const Json::Value *v)
+readStrVec(Json &p)
 {
     std::vector<std::string> out;
-    if (v == nullptr || v->kind != Json::Value::Kind::Arr)
-        return out;
-    out.reserve(v->arr.size());
-    for (const auto &e : v->arr)
-        out.push_back(e.str);
+    readArray(p, [&] { out.push_back(readStr(p)); });
     return out;
 }
 
 std::shared_ptr<sim::KernelProfile>
-parseProfile(const Json::Value &v)
+readProfile(Json &p)
 {
-    auto p = std::make_shared<sim::KernelProfile>();
-    p->labels = parseStrVec(v.find("labels"));
-    if (p->labels.empty())
-        p->labels.emplace_back();   // id 0 ("") must always exist
-    for (uint64_t id : parseU64Vec(v.find("pcLabel")))
-        p->pcLabel.push_back(static_cast<uint16_t>(id));
-    p->disasm = parseStrVec(v.find("disasm"));
-    p->issued = parseU64Vec(v.find("issued"));
-    p->stalls = parseU64Vec(v.find("stalls"));
-    p->l1dMisses = parseU64Vec(v.find("l1dMisses"));
-    p->l2Misses = parseU64Vec(v.find("l2Misses"));
-    p->dramTxns = parseU64Vec(v.find("dramTxns"));
-    p->lineBytes = static_cast<uint32_t>(v.u64Or("lineBytes", 128));
-    p->scale = v.numOr("scale", 1.0);
-    p->workScale = v.numOr("workScale", 1.0);
-    return p;
+    auto prof = std::make_shared<sim::KernelProfile>();
+    readObject(p, [&](std::string_view key) {
+        if (key == "labels") {
+            prof->labels = readStrVec(p);
+        } else if (key == "pcLabel") {
+            prof->pcLabel.clear();
+            for (uint64_t id : readU64Vec(p))
+                prof->pcLabel.push_back(static_cast<uint16_t>(id));
+        } else if (key == "disasm") {
+            prof->disasm = readStrVec(p);
+        } else if (key == "issued") {
+            prof->issued = readU64Vec(p);
+        } else if (key == "stalls") {
+            prof->stalls = readU64Vec(p);
+        } else if (key == "l1dMisses") {
+            prof->l1dMisses = readU64Vec(p);
+        } else if (key == "l2Misses") {
+            prof->l2Misses = readU64Vec(p);
+        } else if (key == "dramTxns") {
+            prof->dramTxns = readU64Vec(p);
+        } else if (key == "lineBytes") {
+            prof->lineBytes = static_cast<uint32_t>(readU64(p, 128));
+        } else if (key == "scale") {
+            prof->scale = readNum(p, 1.0);
+        } else if (key == "workScale") {
+            prof->workScale = readNum(p, 1.0);
+        } else {
+            p.value();
+        }
+    });
+    if (prof->labels.empty())
+        prof->labels.emplace_back();   // id 0 ("") must always exist
+    return prof;
 }
 
 sim::KernelStats
-parseKernelStats(const Json::Value &v)
+readKernelStats(Json &p)
 {
     sim::KernelStats k;
-    k.name = v.strOr("name");
-    if (const auto *g = v.find("grid"))
-        k.grid = parseDim3(*g);
-    if (const auto *b = v.find("block"))
-        k.block = parseDim3(*b);
-    k.totalCtas = v.u64Or("totalCtas");
-    k.sampledCtas = v.u64Or("sampledCtas");
-    k.totalWarpsPerCta = static_cast<uint32_t>(v.u64Or("totalWarpsPerCta"));
-    k.sampledWarpsPerCta =
-        static_cast<uint32_t>(v.u64Or("sampledWarpsPerCta"));
-    k.scale = v.numOr("scale", 1.0);
-    k.smCycles = v.u64Or("smCycles");
-    k.gpuCycles = v.numOr("gpuCycles");
-    k.timeSec = v.numOr("timeSec");
-    k.activeSms = static_cast<uint32_t>(v.u64Or("activeSms", 1));
-    if (const auto *st = v.find("stats"))
-        k.stats = parseStatSet(*st);
-    k.regsPerThread = static_cast<uint32_t>(v.u64Or("regsPerThread"));
-    k.maxLiveRegs = static_cast<uint32_t>(v.u64Or("maxLiveRegs"));
-    k.smemBytes = static_cast<uint32_t>(v.u64Or("smemBytes"));
-    k.cmemBytes = static_cast<uint32_t>(v.u64Or("cmemBytes"));
-    k.residentCtas = static_cast<uint32_t>(v.u64Or("residentCtas"));
-    k.occupancyCtas = static_cast<uint32_t>(v.u64Or("occupancyCtas"));
-    k.peakPowerW = v.numOr("peakPowerW");
-    k.avgPowerW = v.numOr("avgPowerW");
-    k.energyJ = v.numOr("energyJ");
-    k.peakWindowDynW = v.numOr("peakWindowDynW");
-    k.replayed = v.u64Or("replayed") != 0;
-    if (const auto *pv = v.find("profile"))
-        k.profile = parseProfile(*pv);
+    const auto u32 = [&](uint32_t dflt = 0) {
+        return static_cast<uint32_t>(readU64(p, dflt));
+    };
+    readObject(p, [&](std::string_view key) {
+        if (key == "name")
+            k.name = readStr(p);
+        else if (key == "grid")
+            k.grid = readDim3(p);
+        else if (key == "block")
+            k.block = readDim3(p);
+        else if (key == "totalCtas")
+            k.totalCtas = readU64(p);
+        else if (key == "sampledCtas")
+            k.sampledCtas = readU64(p);
+        else if (key == "totalWarpsPerCta")
+            k.totalWarpsPerCta = u32();
+        else if (key == "sampledWarpsPerCta")
+            k.sampledWarpsPerCta = u32();
+        else if (key == "scale")
+            k.scale = readNum(p, 1.0);
+        else if (key == "smCycles")
+            k.smCycles = readU64(p);
+        else if (key == "gpuCycles")
+            k.gpuCycles = readNum(p, 0.0);
+        else if (key == "timeSec")
+            k.timeSec = readNum(p, 0.0);
+        else if (key == "activeSms")
+            k.activeSms = u32(1);
+        else if (key == "stats")
+            k.stats = readStatSet(p);
+        else if (key == "regsPerThread")
+            k.regsPerThread = u32();
+        else if (key == "maxLiveRegs")
+            k.maxLiveRegs = u32();
+        else if (key == "smemBytes")
+            k.smemBytes = u32();
+        else if (key == "cmemBytes")
+            k.cmemBytes = u32();
+        else if (key == "residentCtas")
+            k.residentCtas = u32();
+        else if (key == "occupancyCtas")
+            k.occupancyCtas = u32();
+        else if (key == "peakPowerW")
+            k.peakPowerW = readNum(p, 0.0);
+        else if (key == "avgPowerW")
+            k.avgPowerW = readNum(p, 0.0);
+        else if (key == "energyJ")
+            k.energyJ = readNum(p, 0.0);
+        else if (key == "peakWindowDynW")
+            k.peakWindowDynW = readNum(p, 0.0);
+        else if (key == "replayed")
+            k.replayed = readU64(p) != 0;
+        else if (key == "profile")
+            k.profile = readProfile(p);
+        else
+            p.value();
+    });
     return k;
 }
 
-NetRun
-parseNetRun(const Json::Value &v)
+LayerRun
+readLayerRun(Json &p)
 {
-    NetRun run;
-    run.netName = v.strOr("netName");
-    run.deviceBytes = v.u64Or("deviceBytes");
-    if (const auto *t = v.find("totals"))
-        run.totals = parseStatSet(*t);
-    run.totalTimeSec = v.numOr("totalTimeSec");
-    run.totalEnergyJ = v.numOr("totalEnergyJ");
-    run.peakPowerW = v.numOr("peakPowerW");
-    run.maxRegsPerThread = static_cast<uint32_t>(v.u64Or("maxRegsPerThread"));
-    run.maxLiveRegs = static_cast<uint32_t>(v.u64Or("maxLiveRegs"));
-    run.maxResidentWarps =
-        static_cast<uint32_t>(v.u64Or("maxResidentWarps"));
-    run.checkFailures = v.u64Or("checkFailures");
-    run.estimated = v.u64Or("estimated") != 0;
-    run.estErrP50 = v.numOr("estErrP50");
-    run.estErrP95 = v.numOr("estErrP95");
-    if (const auto *layers = v.find("layers")) {
-        for (const auto &lv : layers->arr) {
-            LayerRun l;
+    LayerRun l;
+    readObject(p, [&](std::string_view key) {
+        if (key == "layerIndex") {
             l.layerIndex =
-                static_cast<int>(static_cast<int64_t>(lv.numOr("layerIndex")));
-            l.name = lv.strOr("name");
-            l.figType = lv.strOr("figType");
-            if (const auto *ks = lv.find("kernels")) {
-                for (const auto &kv : ks->arr)
-                    l.kernels.push_back(parseKernelStats(kv));
-            }
-            run.layers.push_back(std::move(l));
+                static_cast<int>(static_cast<int64_t>(readNum(p, 0.0)));
+        } else if (key == "name") {
+            l.name = readStr(p);
+        } else if (key == "figType") {
+            l.figType = readStr(p);
+        } else if (key == "kernels") {
+            l.kernels.clear();
+            readArray(p, [&] { l.kernels.push_back(readKernelStats(p)); });
+        } else {
+            p.value();
         }
-    }
-    return run;
+    });
+    return l;
 }
 
 } // namespace
 
 NetRun
-netRunFromJson(const json::Reader::Value &v)
+readNetRun(json::Reader &p)
 {
-    return parseNetRun(v);
+    NetRun run;
+    const auto u32 = [&] { return static_cast<uint32_t>(readU64(p)); };
+    p.members([&](std::string_view key) {
+        if (key == "netName")
+            run.netName = readStr(p);
+        else if (key == "deviceBytes")
+            run.deviceBytes = readU64(p);
+        else if (key == "totals")
+            run.totals = readStatSet(p);
+        else if (key == "totalTimeSec")
+            run.totalTimeSec = readNum(p, 0.0);
+        else if (key == "totalEnergyJ")
+            run.totalEnergyJ = readNum(p, 0.0);
+        else if (key == "peakPowerW")
+            run.peakPowerW = readNum(p, 0.0);
+        else if (key == "maxRegsPerThread")
+            run.maxRegsPerThread = u32();
+        else if (key == "maxLiveRegs")
+            run.maxLiveRegs = u32();
+        else if (key == "maxResidentWarps")
+            run.maxResidentWarps = u32();
+        else if (key == "checkFailures")
+            run.checkFailures = readU64(p);
+        else if (key == "estimated")
+            run.estimated = readU64(p) != 0;
+        else if (key == "estErrP50")
+            run.estErrP50 = readNum(p, 0.0);
+        else if (key == "estErrP95")
+            run.estErrP95 = readNum(p, 0.0);
+        else if (key == "layers") {
+            run.layers.clear();
+            readArray(p, [&] { run.layers.push_back(readLayerRun(p)); });
+        } else
+            p.value();
+    });
+    return run;
 }
 
 std::string
@@ -360,11 +468,10 @@ bool
 parseNetRunJson(const std::string &text, NetRun &out)
 {
     try {
-        Json parser(text);
-        const Json::Value doc = parser.parse();
-        if (doc.kind != Json::Value::Kind::Obj)
-            return false;
-        out = parseNetRun(doc);
+        Json p(text);
+        NetRun run = readNetRun(p);
+        p.end();
+        out = std::move(run);
         return true;
     } catch (const std::exception &) {
         return false;
@@ -414,20 +521,11 @@ loadRunCache(const std::string &path)
             return out;
 
         inRuns = true;
-        p.expect('{');
-        if (p.peek() == '}')
-            return out;
-        for (;;) {
-            const std::string key = p.string();
-            p.expect(':');
-            const Json::Value v = p.value();
-            out.emplace(key, parseNetRun(v));
-            const char n = p.next();
-            if (n == '}')
-                break;
-            if (n != ',')
-                throw std::runtime_error("json: expected , or }");
-        }
+        p.members([&](std::string_view key) {
+            // Decoded into a local first: a damaged entry never lands.
+            NetRun run = readNetRun(p);
+            out.insert_or_assign(std::string(key), std::move(run));
+        });
         // Trailing bytes after the runs object carry no entries; damage
         // there cannot invalidate what was parsed.
     } catch (const std::exception &) {

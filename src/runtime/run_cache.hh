@@ -48,9 +48,16 @@ std::string serializeNetRun(const NetRun &run);
  */
 bool parseNetRunJson(const std::string &text, NetRun &out);
 
-/** Build a NetRun from an already-parsed JSON object (the embedded
- *  "run" field of a serve protocol result; missing fields default). */
-NetRun netRunFromJson(const json::Reader::Value &v);
+/**
+ * Decode the serializeNetRun() object at @p p's cursor in one pass,
+ * straight from the text: the one NetRun decoder behind
+ * parseNetRunJson(), loadRunCache() and serve result frames.  Missing
+ * or unknown fields and values of the wrong type are tolerated (the
+ * field keeps its default); a repeated key's last value wins.
+ * @throws std::runtime_error ("json: ...") on malformed JSON or when
+ *         the value is not an object.
+ */
+NetRun readNetRun(json::Reader &p);
 
 /**
  * Load a cache file.

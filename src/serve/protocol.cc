@@ -199,21 +199,25 @@ bool
 parseResultResponse(const std::string &text, uint64_t &id,
                     rt::JobResult &out, std::string *err)
 {
-    Reader::Value v;
+    // One pass over the text: the envelope ("type", "id") and the
+    // result's small fields land in `fields`, the NetRun is decoded in
+    // place (rt::readNetRun), with no Value tree for its statistics.
+    Reader::Value fields;
+    rt::JobResult res;
     try {
-        v = Reader(text).parse();
+        Reader p(text);
+        res = rt::JobResult::read(p, fields);
+        p.end();
     } catch (const std::exception &e) {
         setErr(err, e.what());
         return false;
     }
-    if (v.kind != Reader::Value::Kind::Obj ||
-        v.strOr("type") != "result") {
+    if (fields.strOr("type") != "result") {
         setErr(err, "expected a 'result' response");
         return false;
     }
-    if (!rt::JobResult::fromValue(v, out, err))
-        return false;
-    id = v.u64Or("id", 0);
+    out = std::move(res);
+    id = fields.u64Or("id", 0);
     return true;
 }
 

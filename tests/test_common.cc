@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +14,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -125,6 +129,21 @@ TEST(StatSet, SumPrefix)
     EXPECT_EQ(s.sumPrefix("op."), 15.0);
     EXPECT_EQ(s.sumPrefix("evt."), 7.0);
     EXPECT_EQ(s.sumPrefix("zz."), 0.0);
+}
+
+TEST(StatSet, AppendMatchesSet)
+{
+    // append() is set() with an end() hint: in order it is O(1), out of
+    // order or repeated it must still land exactly where set() would.
+    const std::vector<std::pair<std::string, double>> seq = {
+        {"a.x", 1}, {"b.y", 2}, {"c.z", 3}, {"0.first", 4}, {"b.y", 5}};
+    StatSet appended, set;
+    for (const auto &[name, v] : seq) {
+        appended.append(name, v);
+        set.set(name, v);
+    }
+    EXPECT_EQ(appended.all(), set.all());
+    EXPECT_EQ(appended.get("b.y"), 5.0);
 }
 
 TEST(Table, AlignsAndCounts)
@@ -336,6 +355,76 @@ TEST(Json, StringEscapesRoundTrip)
     EXPECT_NE(parseError(R"("unterminated)"), "");
     EXPECT_NE(parseError(R"("bad \q escape")"), "");
     EXPECT_NE(parseError("\"trailing backslash\\"), "");
+    // \u takes exactly four hex digits: no spaces, no sign, no fewer.
+    for (const char *text :
+         {R"("\u 7a!")", R"("\u-001")", R"("\u7zzz")", R"("\u41")"})
+        EXPECT_NE(parseError(text).find("json: bad \\u escape"),
+                  std::string::npos)
+            << text;
+    EXPECT_EQ(json::Reader(R"("A")").parse().str, "A");
+}
+
+TEST(Json, NumberMatchesFromCharsBitForBit)
+{
+    // number() reads short plain integers itself; every token must
+    // still give from_chars' exact double, at and past the 15-digit
+    // edge of that path too.
+    std::vector<std::string> tokens = {
+        "0", "-0", "7", "007", "-42", "999999999999999",
+        "-999999999999999", "9999999999999999", "9007199254740993",
+        "18446744073709551615", "12.5", "3e2", "-1E-3", "123456789012345e3"};
+    Rng rng(15);
+    for (int i = 0; i < 20000; i++) {
+        const uint64_t bits = (uint64_t(rng.next()) << 32) ^ rng.next();
+        tokens.push_back(std::to_string(bits >> (i % 64)));
+        tokens.push_back("-" + tokens.back());
+    }
+    for (const std::string &t : tokens) {
+        double want = 0.0;
+        std::from_chars(t.data(), t.data() + t.size(), want);
+        const double got = json::Reader(t).number();
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << t;
+        // Inside a document, the token ends where from_chars stops.
+        const json::Reader::Value arr = json::Reader("[" + t + ",1]").parse();
+        ASSERT_EQ(arr.arr.size(), 2u) << t;
+        ASSERT_EQ(std::memcmp(&arr.arr[0].num, &want, sizeof want), 0) << t;
+    }
+}
+
+TEST(Json, PullReaderWalksMembersAndElements)
+{
+    const std::string doc =
+        R"({"plain":1.5,"esc\u0041ped":[1,-2e3,inf],"plain":"x"})";
+    json::Reader p(doc);
+    std::vector<std::string> keys;
+    std::vector<double> nums;
+    p.members([&](std::string_view key) {
+        keys.emplace_back(key);
+        if (p.peek() == '[')
+            p.elements([&] { nums.push_back(p.number()); });
+        else
+            p.value();
+    });
+    p.end();
+    EXPECT_EQ(keys, (std::vector<std::string>{"plain", "escAped", "plain"}));
+    EXPECT_EQ(nums, (std::vector<double>{
+                        1, -2000, std::numeric_limits<double>::infinity()}));
+
+    // A key without escapes is a view into the buffer, not a copy.
+    json::Reader q(doc);
+    std::string scratch;
+    q.expect('{');
+    const std::string_view k = q.stringView(scratch);
+    EXPECT_EQ(k, "plain");
+    EXPECT_TRUE(k.data() > doc.data() && k.data() < doc.data() + doc.size());
+    EXPECT_TRUE(scratch.empty());
+
+    EXPECT_THROW(json::Reader(R"("1")").number(), std::runtime_error);
+    EXPECT_THROW(json::Reader("{\"a\":1 \"b\":2}").members(
+                     [](std::string_view) {}),
+                 std::runtime_error);
+    // A repeated key: the last one wins in a Value tree too.
+    EXPECT_EQ(json::Reader(doc).parse().strOr("plain"), "x");
 }
 
 } // namespace

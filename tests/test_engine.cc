@@ -230,21 +230,28 @@ TEST(RunCache, CorruptTailKeepsEveryEntryBeforeTheDamage)
     ASSERT_TRUE(rt::saveRunCache(path, runs));
     ASSERT_EQ(rt::loadRunCache(path).size(), 2u);
 
-    // Truncate mid-way through the second entry — an interrupted write.
+    // Truncate mid-way through the second entry — an interrupted write —
+    // early in its header, and inside its stats map, where the decoder
+    // is part-way through the entry it must then drop.
     const std::string text = readFile(path);
     const size_t second = text.find("\"b/second\"");
     ASSERT_NE(second, std::string::npos);
-    writeFile(path, text.substr(0, second + 40));
+    const size_t stats = text.find("\"stats\":{", second);
+    ASSERT_NE(stats, std::string::npos);
+    ASSERT_GT(text.find('}', stats), stats + 40);
+    for (const size_t cut : {second + 40, stats + 40}) {
+        writeFile(path, text.substr(0, cut));
 
-    testing::internal::CaptureStderr();
-    const auto salvaged = rt::loadRunCache(path);
-    const std::string err = testing::internal::GetCapturedStderr();
+        testing::internal::CaptureStderr();
+        const auto salvaged = rt::loadRunCache(path);
+        const std::string err = testing::internal::GetCapturedStderr();
 
-    // The valid prefix survives, bit-identical; the tail is reported.
-    ASSERT_EQ(salvaged.size(), 1u);
-    ASSERT_EQ(salvaged.count("a/first"), 1u);
-    expectIdentical(sampleRun(), salvaged.at("a/first"));
-    EXPECT_NE(err.find("corrupt tail"), std::string::npos);
+        // The valid prefix survives, bit-identical; the tail is reported.
+        ASSERT_EQ(salvaged.size(), 1u) << cut;
+        ASSERT_EQ(salvaged.count("a/first"), 1u);
+        expectIdentical(sampleRun(), salvaged.at("a/first"));
+        EXPECT_NE(err.find("corrupt tail"), std::string::npos);
+    }
 
     std::remove(path.c_str());
 }

@@ -4,18 +4,30 @@
  * canonicalization (field order, default normalization, RunKey
  * equivalence — the property that lets serve traffic and bench sweeps
  * share one Engine cache), inline-policy content keying, and the strict
- * envUint() parsing behind EngineOptions::fromEnv().
+ * envUint() parsing behind EngineOptions::fromEnv(), and the one-pass
+ * NetRun decoder (rt::readNetRun) behind results, spills and goldens.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/env.hh"
 #include "nn/models/models.hh"
 #include "runtime/engine.hh"
 #include "runtime/job.hh"
 #include "runtime/run_cache.hh"
+#include "sim/gpu.hh"
+
+#ifndef TANGO_GOLDEN_DIR
+#error "TANGO_GOLDEN_DIR must point at tests/golden"
+#endif
 
 namespace tango {
 namespace {
@@ -392,6 +404,158 @@ TEST(Job, ResultErrorRoundTrip)
     EXPECT_FALSE(back.ok);
     EXPECT_EQ(back.error, "queue_full");
     EXPECT_EQ(back.served, "reject");
+}
+
+// ------------------------------------------------------------ NetRun decoder
+
+std::string
+readText(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** serializeNetRun(decode(@p text)): a lossless decoder gives the
+ *  input back byte for byte. */
+std::string
+reencode(const std::string &text)
+{
+    rt::NetRun run;
+    EXPECT_TRUE(rt::parseNetRunJson(text, run));
+    return rt::serializeNetRun(run);
+}
+
+TEST(Decode, EveryGoldenFixtureRoundTripsByteForByte)
+{
+    size_t fixtures = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator(TANGO_GOLDEN_DIR)) {
+        const std::string name = e.path().filename().string();
+        // parallel_k*.json are digest tables, not NetRuns.
+        if (e.path().extension() != ".json" ||
+            name.rfind("parallel_", 0) == 0)
+            continue;
+        const std::string text = readText(e.path());
+        EXPECT_TRUE(reencode(text) + "\n" == text) << name;
+
+        // The same NetRun inside a JobResult takes the same decoder.
+        JobResult res;
+        res.ok = true;
+        ASSERT_TRUE(rt::parseNetRunJson(text, res.run));
+        JobResult back;
+        std::string err;
+        ASSERT_TRUE(JobResult::fromJson(res.toJson(), back, &err)) << err;
+        EXPECT_TRUE(rt::serializeNetRun(back.run) + "\n" == text) << name;
+        fixtures++;
+    }
+    EXPECT_GE(fixtures, 21u);   // 7 networks x TANGO_SIM_SHARDS {1,2,4}
+}
+
+TEST(Decode, EstimatedAndProfiledRunsRoundTripByteForByte)
+{
+    JobSpec est;
+    est.net = "cifarnet";
+    est.tier = rt::Tier::Estimate;
+    sim::Gpu estGpu(est.gpuConfig());
+    const rt::NetRun estimated = rt::runJob(estGpu, est);
+    ASSERT_TRUE(estimated.estimated);
+    const std::string estJson = rt::serializeNetRun(estimated);
+    EXPECT_TRUE(reencode(estJson) == estJson);
+
+    JobSpec prof;
+    prof.net = "gru";
+    prof.profile = true;
+    sim::Gpu profGpu(prof.gpuConfig());
+    const std::string profJson =
+        rt::serializeNetRun(rt::runJob(profGpu, prof));
+    ASSERT_NE(profJson.find("\"profile\":{\"labels\":["),
+              std::string::npos);
+    EXPECT_TRUE(reencode(profJson) == profJson);
+}
+
+TEST(Decode, WrongTypesTakeTheirDefaults)
+{
+    rt::NetRun run;
+    ASSERT_TRUE(rt::parseNetRunJson(
+        R"({"netName":5,"deviceBytes":"x","totals":[1],"totalTimeSec":{},)"
+        R"("checkFailures":-1,"layers":[7,{"layerIndex":"x","name":3,)"
+        R"("kernels":[{"name":"k","smCycles":"x","scale":"x",)"
+        R"("activeSms":null,"grid":[1,2],"block":{"x":4},)"
+        R"("stats":{"a":"x","b":2},"replayed":true,)"
+        R"("profile":{"labels":"x","lineBytes":"x","issued":[1,"x",3]}}]}]})",
+        run));
+    EXPECT_EQ(run.netName, "");
+    EXPECT_EQ(run.deviceBytes, 0u);
+    EXPECT_TRUE(run.totals.all().empty());
+    EXPECT_EQ(run.totalTimeSec, 0.0);
+    EXPECT_EQ(run.checkFailures, 0u);
+    ASSERT_EQ(run.layers.size(), 2u);
+    EXPECT_EQ(run.layers[0].kernels.size(), 0u);   // 7: a default layer
+    const rt::LayerRun &l = run.layers[1];
+    EXPECT_EQ(l.layerIndex, 0);
+    EXPECT_EQ(l.name, "");
+    ASSERT_EQ(l.kernels.size(), 1u);
+    const sim::KernelStats &k = l.kernels[0];
+    EXPECT_EQ(k.name, "k");
+    EXPECT_EQ(k.smCycles, 0u);
+    EXPECT_EQ(k.scale, 1.0);
+    EXPECT_EQ(k.activeSms, 1u);
+    EXPECT_EQ(k.grid, sim::Dim3());
+    EXPECT_EQ(k.block, sim::Dim3());
+    EXPECT_EQ(k.stats.all(),
+              (std::map<std::string, double>{{"a", 0.0}, {"b", 2.0}}));
+    EXPECT_FALSE(k.replayed);
+    ASSERT_NE(k.profile, nullptr);
+    EXPECT_EQ(k.profile->labels, std::vector<std::string>{""});
+    EXPECT_EQ(k.profile->lineBytes, 128u);
+    EXPECT_EQ(k.profile->issued, (std::vector<uint64_t>{1, 0, 3}));
+
+    // Not a NetRun at all, or malformed: refused, out untouched.
+    for (const char *bad : {"[]", "5", R"({"netName":"a")",
+                            R"({"netName":"a"} x)"}) {
+        rt::NetRun untouched;
+        untouched.netName = "keep";
+        EXPECT_FALSE(rt::parseNetRunJson(bad, untouched)) << bad;
+        EXPECT_EQ(untouched.netName, "keep");
+    }
+}
+
+TEST(Decode, RepeatedKeysLastOneWins)
+{
+    rt::NetRun run;
+    ASSERT_TRUE(rt::parseNetRunJson(
+        R"({"netName":"a","totals":{"x":1,"y":2},"netName":"b",)"
+        R"("totals":{"y":3,"y":4},"layers":[{"name":"l0"}],)"
+        R"("layers":[{"name":"l1","kernels":[{"smCycles":1,)"
+        R"("stats":{"s":1,"s":5},"smCycles":2}]}]})",
+        run));
+    EXPECT_EQ(run.netName, "b");
+    EXPECT_EQ(run.totals.all(), (std::map<std::string, double>{{"y", 4}}));
+    ASSERT_EQ(run.layers.size(), 1u);
+    EXPECT_EQ(run.layers[0].name, "l1");
+    ASSERT_EQ(run.layers[0].kernels.size(), 1u);
+    EXPECT_EQ(run.layers[0].kernels[0].smCycles, 2u);
+    EXPECT_EQ(run.layers[0].kernels[0].stats.get("s"), 5.0);
+
+    // The result envelope and the Value tree behind JobSpec follow the
+    // same rule.
+    JobResult res;
+    std::string err;
+    ASSERT_TRUE(JobResult::fromJson(
+        R"({"ok":false,"served":"sim","ok":true,"served":"mem",)"
+        R"("latencyMs":1,"latencyMs":2,"run":{"netName":"x"}})",
+        res, &err))
+        << err;
+    EXPECT_TRUE(res.ok);
+    EXPECT_EQ(res.served, "mem");
+    EXPECT_EQ(res.latencyMs, 2.0);
+    EXPECT_EQ(res.run.netName, "x");
+    JobSpec spec;
+    ASSERT_TRUE(JobSpec::fromJson(R"({"net":"vggnet","net":"gru"})", spec));
+    EXPECT_EQ(spec.net, "gru");
 }
 
 // ------------------------------------------------------------ strict env knobs

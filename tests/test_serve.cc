@@ -253,6 +253,33 @@ class RawConn
 
 // ------------------------------------------------------------------- serving
 
+// Every proper prefix of a real result frame is refused with a json
+// error by the one-pass decoder, never accepted and never a crash.
+TEST(ServeProtocol, EveryTruncatedResultFrameIsAJsonError)
+{
+    JobResult res;
+    res.ok = true;
+    res.served = "mem";
+    ASSERT_TRUE(rt::parseNetRunJson(goldenFixture("cifarnet"), res.run));
+    const std::string frame = serve::makeResultResponse(7, res);
+
+    uint64_t id = 0;
+    JobResult back;
+    std::string err;
+    ASSERT_TRUE(serve::parseResultResponse(frame, id, back, &err)) << err;
+    EXPECT_EQ(id, 7u);
+    EXPECT_EQ(rt::serializeNetRun(back.run), rt::serializeNetRun(res.run));
+
+    std::string prefix;
+    for (size_t n = 0; n < frame.size(); n++) {
+        prefix.assign(frame, 0, n);
+        err.clear();
+        ASSERT_FALSE(serve::parseResultResponse(prefix, id, back, &err))
+            << "accepted a " << n << "-byte prefix";
+        ASSERT_EQ(err.rfind("json: ", 0), 0u) << n << ": " << err;
+    }
+}
+
 TEST(Serve, DeeplyNestedFrameIsABadRequestNotACrash)
 {
     // Well under kMaxFrameBytes; before the reader capped its nesting
