@@ -30,6 +30,9 @@ for k in 1 2 4; do
         --output-on-failure -j
 done
 
+echo "=== chaos tier (well-formed requests that once killed tango-serve) ==="
+ctest --test-dir build -L chaos --output-on-failure -j
+
 echo "=== parallel-determinism tier (sharded runs are bit-reproducible) ==="
 ctest --test-dir build -L parallel --output-on-failure -j
 
@@ -90,13 +93,32 @@ print("serve: %d jobs simulated once, %d warm hits (hit rate %.3f)"
       % (stats["cache_misses"], stats["cache_mem_hits"],
          stats["cache_hit_rate"]))
 EOF
-    # Hostile-frame corpus: each frame must come back as a "bad request"
-    # result, and the daemon must keep serving (the scrape below runs
-    # after it).
-    python3 - "$(cat "$servedir/port")" <<'EOF'
+    # Hostile-frame corpus: each frame must come back as a failed result
+    # with the expected error, and the daemon must keep serving: a real
+    # job runs after the corpus.  Fresh server stats are then taken for
+    # the metrics scrape below, so its invariants also cover the frames.
+    python3 - "$(cat "$servedir/port")" "$servedir/load.json" \
+        "$servedir/stats.json" <<'EOF'
 import json, socket, struct, sys
-corpus = {"deep nesting (1 MiB of '[')": b"[" * (1 << 20)}
-for name, payload in corpus.items():
+
+def run(job):
+    return json.dumps({"type": "run", "id": 1, "job": job}).encode()
+
+corpus = {
+    "deep nesting (1 MiB of '[')": (b"[" * (1 << 20), "bad request"),
+    "L1D smaller than one set": (
+        run({"net": "cifarnet", "l1dBytes": 1}), "bad request"),
+    "1000 shards": (
+        run({"net": "gru", "runPolicy": {"sim": {"shards": 1000}}}),
+        "bad request"),
+    "10-cycle safety cap": (
+        run({"net": "gru", "seqLen": 4,
+             "runPolicy": {"sim": {"maxCycles": 10}}}),
+        "simulation failed"),
+}
+corpus["then a real job"] = (run({"net": "gru", "seqLen": 4}), None)
+
+def request(name, payload):
     s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
     s.sendall(struct.pack(">I", len(payload)) + payload)
     def recv_exact(n):
@@ -108,16 +130,33 @@ for name, payload in corpus.items():
         return buf
     (n,) = struct.unpack(">I", recv_exact(4))
     reply = json.loads(recv_exact(n))
-    assert reply["type"] == "result" and reply["ok"] is False, reply
-    assert reply["error"].startswith("bad request"), reply
     s.close()
-    print("hostile frame, %s: %s" % (name, reply["error"]))
+    return reply
+
+for name, (payload, error) in corpus.items():
+    reply = request(name, payload)
+    assert reply["type"] == "result", reply
+    if error is None:
+        assert reply["ok"] is True, reply
+        print("%s: ok, served=%s" % (name, reply["served"]))
+    else:
+        assert reply["ok"] is False, reply
+        assert reply["error"].startswith(error), reply
+        print("hostile frame, %s: %s" % (name, reply["error"]))
+
+# Three frames are bad requests and the capped job is one failure;
+# nothing else moved those counters.
+before = json.load(open(sys.argv[2]))["server_stats"]
+after = request("stats", b'{"type":"stats"}')
+assert after["invalid"] == before["invalid"] + 3, (before, after)
+assert after["failures"] == before["failures"] + 1, (before, after)
+json.dump(after, open(sys.argv[3], "w"))
 EOF
     # Scrape the live metrics frame (tango-top --raw = one Prometheus
     # scrape) and assert it agrees with itself and the stats endpoint.
     build/tools/tango-top --raw --port "$(cat "$servedir/port")" \
         > "$servedir/metrics.prom"
-    python3 - "$servedir/metrics.prom" "$servedir/load.json" <<'EOF'
+    python3 - "$servedir/metrics.prom" "$servedir/stats.json" <<'EOF'
 import json, sys
 series = {}
 for line in open(sys.argv[1]):
@@ -135,7 +174,7 @@ served = total("tango_serve_served_total")
 tiers = total("tango_serve_tier_total")
 assert served == tiers > 0, (served, tiers)
 rejects = total("tango_serve_rejects_total")
-stats = json.load(open(sys.argv[2]))["server_stats"]
+stats = json.load(open(sys.argv[2]))
 assert rejects == stats["rejected_queue_full"] + stats["rejected_draining"], \
     (rejects, stats)
 assert served == (stats["served_sim"] + stats["served_join"] +
@@ -143,6 +182,9 @@ assert served == (stats["served_sim"] + stats["served_join"] +
 depth = series.get("tango_engine_inflight_sims", -1)
 assert depth == 0, "queue depth %r after drain" % depth
 assert total("tango_serve_latency_us_count") == served, series
+assert total("tango_serve_invalid_total") == stats["invalid"], (series, stats)
+assert total("tango_serve_failures_total") == stats["failures"], \
+    (series, stats)
 print("metrics scrape: %d served == tier sum, %d rejects, queue drained"
       % (served, rejects))
 EOF

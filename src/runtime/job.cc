@@ -150,6 +150,13 @@ JobSpec::validate() const
         if (std::find(known.begin(), known.end(), policy) == known.end())
             return "unknown policy '" + policy + "'";
     }
+    if (const std::string why = sim::configError(gpuConfig());
+        !why.empty())
+        return "invalid GPU config: " + why;
+    if (hasInlinePolicy && inlinePolicy.sim.shards > sim::kMaxShards)
+        return "runPolicy.sim.shards " +
+               std::to_string(inlinePolicy.sim.shards) +
+               " out of range [0, " + std::to_string(sim::kMaxShards) + "]";
     if (seqLen > (1u << 20))
         return "seqLen " + std::to_string(seqLen) + " out of range [0, " +
                std::to_string(1u << 20) + "]";

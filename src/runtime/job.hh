@@ -121,8 +121,9 @@ struct JobSpec
     bool trace = false;
 
     /** @return "" if the spec is runnable, else a one-line reason
-     *  (unknown net/policy/platform, out-of-range seqLen).  Check this
-     *  before run()/submitJob(): running an invalid spec fatal()s. */
+     *  (unknown net/policy/platform, a sim::configError() platform,
+     *  more than sim::kMaxShards shards, out-of-range seqLen).  Check
+     *  this before run()/submitJob(): running an invalid spec fatal()s. */
     std::string validate() const;
 
     /** @return the effective RunPolicy: the named (or inline) policy

@@ -1,5 +1,7 @@
 #include "runtime/lowering.hh"
 
+#include <unordered_set>
+
 #include "common/logging.hh"
 #include "kernels/kernels.hh"
 
@@ -39,6 +41,23 @@ maybeUpload(sim::DeviceMemory &mem, uint32_t addr, const nn::Tensor &t,
 {
     if (upload && t.size())
         mem.copyIn(addr, t.data(), t.bytes());
+}
+
+/** Mark every launch of a timing-only lowering valuesUnobserved when
+ *  each of its distinct programs passes sim::valueOblivious (judged once
+ *  per program, not once per launch: an RNN launches 2 programs over
+ *  seqLen + 1 kernels). */
+void
+markValuesUnobserved(std::vector<LoweredKernel> &kernels)
+{
+    std::unordered_set<const sim::Program *> judged;
+    for (const LoweredKernel &k : kernels) {
+        const sim::Program *p = k.launch.program.get();
+        if (judged.insert(p).second && !sim::valueOblivious(*p))
+            return;
+    }
+    for (LoweredKernel &k : kernels)
+        k.launch.valuesUnobserved = true;
 }
 
 } // namespace
@@ -345,6 +364,8 @@ lower(const nn::Network &net, sim::DeviceMemory &mem, bool upload_weights,
         }
     }
 
+    if (!upload_weights)
+        markValuesUnobserved(out.kernels);
     out.deviceBytes = mem.used() - startBytes;
     return out;
 }
@@ -418,6 +439,8 @@ lowerRnn(const nn::RnnModel &model, sim::DeviceMemory &mem,
     lk.figType = model.lstm ? "LSTM" : "GRU";
     out.kernels.push_back(std::move(lk));
 
+    if (!upload_weights)
+        markValuesUnobserved(out.kernels);
     out.deviceBytes = mem.used() - startBytes;
     return out;
 }

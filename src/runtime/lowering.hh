@@ -44,7 +44,10 @@ struct LoweredNet
  * @param net the network (weights may be absent for timing-only studies).
  * @param mem device memory to allocate from.
  * @param upload_weights copy parameter tensors into device memory
- *        (requires initWeights() to have been called).
+ *        (requires initWeights() to have been called).  Without it the
+ *        lowering is timing-only: when every distinct program passes
+ *        sim::valueOblivious, each launch carries
+ *        KernelLaunch::valuesUnobserved.
  * @param max_loop_channels timing-only: kernels that loop over output
  *        filters/channels *inside each thread* (CifarNet/SqueezeNet
  *        mappings) are lowered with at most this many loop channels and

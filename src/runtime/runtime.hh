@@ -11,7 +11,10 @@
  *    outputs are instead compared against the reference (small networks,
  *    fullSim).
  *  - timing-only (functional=false): buffers hold garbage, which is fine —
- *    the kernels' control flow and addresses are data-independent.
+ *    the kernels' control flow and addresses are data-independent.  That
+ *    claim is checked, not assumed: lowering runs sim::valueOblivious on
+ *    every distinct program, and only a run whose programs all pass
+ *    splices its armed memo replays without executing them.
  */
 
 #ifndef TANGO_RUNTIME_RUNTIME_HH

@@ -306,8 +306,8 @@ Server::handleRun(const Request &req)
     rt::JobResult res;
     res.ok = false;
 
-    const auto reject = [&](const char *why) {
-        res.error = why;
+    const auto reject = [&](std::string why) {
+        res.error = std::move(why);
         res.served = "reject";
         res.latencyMs = nowMs() - t0;
         return makeResultResponse(req.id, res);
@@ -341,7 +341,7 @@ Server::handleRun(const Request &req)
         metrics_.invalid++;
         lock.unlock();
         release();
-        return reject(why.c_str());
+        return reject("bad request: " + why);
     }
 
     rt::Engine::JobFn fn;

@@ -30,6 +30,42 @@ schedFromName(const std::string &name, SchedPolicy &out)
     return false;
 }
 
+std::string
+configError(const GpuConfig &cfg)
+{
+    if (cfg.numSms == 0 || cfg.coresPerSm == 0)
+        return "numSms and coresPerSm must be > 0";
+    if (cfg.maxWarpsPerSm == 0 || cfg.maxCtasPerSm == 0 ||
+        cfg.maxThreadsPerSm == 0) {
+        return "SM occupancy limits must be > 0";
+    }
+    if (cfg.issueWidth == 0 || cfg.numSchedulers == 0)
+        return "issueWidth and numSchedulers must be > 0";
+    if (cfg.lineBytes == 0)
+        return "lineBytes must be > 0";
+    // A cache (0 bytes = absent) must hold at least one full set.
+    const auto setError = [&](const char *what, uint32_t bytes,
+                              uint32_t assoc) -> std::string {
+        if (bytes == 0 ||
+            (assoc > 0 && bytes >= uint64_t(cfg.lineBytes) * assoc))
+            return "";
+        return std::string(what) + " " + std::to_string(bytes) +
+               " cannot hold one set of " + std::to_string(assoc) +
+               "-way " + std::to_string(cfg.lineBytes) + "-byte lines";
+    };
+    if (std::string why = setError("l1dBytes", cfg.l1dBytes, cfg.l1dAssoc);
+        !why.empty())
+        return why;
+    if (std::string why = setError("l2Bytes", cfg.l2Bytes, cfg.l2Assoc);
+        !why.empty())
+        return why;
+    if (!(cfg.coreClockGhz > 0.0))
+        return "coreClockGhz must be > 0";
+    if (!(cfg.dramIssueInterval > 0.0))
+        return "dramIssueInterval must be > 0";
+    return "";
+}
+
 uint32_t
 GpuConfig::occupancyCtas(uint32_t threads_per_cta, uint32_t regs_per_thread,
                          uint32_t smem_per_cta) const

@@ -105,6 +105,15 @@ struct GpuConfig
                            uint32_t smem_per_cta) const;
 };
 
+/**
+ * @return "" if @p cfg can be simulated, else a one-line reason: a
+ * configuration that would divide by zero, build a cache smaller than
+ * one set, or otherwise hit internal asserts deep inside a launch.  The
+ * one rule behind both Gpu's constructor/reconfigure() (which fatal()
+ * on it) and rt::JobSpec::validate() (which refuses the job).
+ */
+std::string configError(const GpuConfig &cfg);
+
 /** Pascal GP102 — the paper's GPGPU-Sim configuration (Table II). */
 GpuConfig pascalGP102();
 

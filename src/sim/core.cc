@@ -540,9 +540,9 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
 
     while (liveWarpTotal_ > 0 || nextPending_ < pendingCtas_.size()) {
         if (now > policy.maxCycles) {
-            fatal("kernel %s exceeded the %llu-cycle safety cap",
-                  prog.name.c_str(),
-                  static_cast<unsigned long long>(policy.maxCycles));
+            throw CycleCapExceeded("kernel " + prog.name + " exceeded the " +
+                                   std::to_string(policy.maxCycles) +
+                                   "-cycle safety cap");
         }
         // Fill free CTA slots.  launchCta resets the relaunched slots to
         // the "not chargeable" state, so the buckets stay consistent.

@@ -19,6 +19,7 @@
 #define TANGO_SIM_CORE_HH
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/stats.hh"
@@ -58,16 +59,19 @@ struct SimPolicy
      * outputs are needed.
      */
     uint32_t maxWarpsPerCta = 0;
-    /** Safety valve on simulated cycles per kernel. */
+    /** Safety valve on simulated cycles per kernel (SmCore::run throws
+     *  CycleCapExceeded past it). */
     uint64_t maxCycles = 500'000'000;
     /**
      * Steady-state launch memoization (sim/gpu.cc): once consecutive
      * occurrences of an identical launch signature produce bit-identical
      * statistics, identical µ-arch state fingerprints and identical
      * Step streams, later matching launches execute functionally only
-     * and splice in the cached statistics.  Self-validating (any
-     * divergence falls back to full simulation), on by default; the
-     * TANGO_NO_MEMO=1 environment knob force-disables it at runtime.
+     * and splice in the cached statistics (a
+     * KernelLaunch::valuesUnobserved launch only splices).
+     * Self-validating (any divergence falls back to full simulation),
+     * on by default; the TANGO_NO_MEMO=1 environment knob
+     * force-disables it at runtime.
      * Excluded from the launch signature itself.
      */
     bool memoize = true;
@@ -148,6 +152,14 @@ struct KernelStats
     double totalThreadInstructions() const { return stats.sumPrefix("op."); }
 };
 
+/** Thrown by SmCore::run when a kernel outlives SimPolicy::maxCycles.
+ *  The cap bounds one job, not the process: a serve request that sets
+ *  it too low fails alone while the daemon keeps serving. */
+struct CycleCapExceeded : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
 /** One simulated SM executing a set of CTAs of a single kernel. */
 class SmCore
 {
@@ -166,7 +178,8 @@ class SmCore
      * @param cta_ids  linear CTA indices to simulate (in launch order).
      * @param warp_ids warp indices (within each CTA) to simulate.
      * @param resident_ctas concurrent CTA slots to use.
-     * @param policy   simulation policy (cycle cap).
+     * @param policy   simulation policy (cycle cap: throws
+     *                 CycleCapExceeded past policy.maxCycles).
      * @param stream_hash when non-null, every warp folds its executed
      *        stream into an internal digest (WarpExec::enableStreamHash)
      *        and the combination — per-warp digests in (CTA order, warp

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <thread>
 
 #include "common/logging.hh"
@@ -48,43 +49,14 @@ struct SimMetrics
     }
 };
 
-/**
- * Reject configurations that would divide by zero, build a cache smaller
- * than one set, or otherwise hit internal asserts deep inside a launch.
- * Reported with fatal() so callers (config sweeps, CLI flags) get a clean
- * diagnostic instead of an internal panic.
- */
+/** fatal() on a configError(): config sweeps and CLI flags get a clean
+ *  diagnostic instead of an internal panic deep inside a launch. */
 void
 validateConfig(const GpuConfig &cfg)
 {
-    if (cfg.numSms == 0 || cfg.coresPerSm == 0)
-        fatal("invalid GPU config: numSms and coresPerSm must be > 0");
-    if (cfg.maxWarpsPerSm == 0 || cfg.maxCtasPerSm == 0 ||
-        cfg.maxThreadsPerSm == 0) {
-        fatal("invalid GPU config: SM occupancy limits must be > 0");
-    }
-    if (cfg.issueWidth == 0 || cfg.numSchedulers == 0)
-        fatal("invalid GPU config: issueWidth and numSchedulers must be > 0");
-    if (cfg.lineBytes == 0)
-        fatal("invalid GPU config: lineBytes must be > 0");
-    if (cfg.l1dBytes > 0 &&
-        (cfg.l1dAssoc == 0 ||
-         cfg.l1dBytes < uint64_t(cfg.lineBytes) * cfg.l1dAssoc)) {
-        fatal("invalid GPU config: l1dBytes %u cannot hold one set of "
-              "%u-way %u-byte lines",
-              cfg.l1dBytes, cfg.l1dAssoc, cfg.lineBytes);
-    }
-    if (cfg.l2Bytes > 0 &&
-        (cfg.l2Assoc == 0 ||
-         cfg.l2Bytes < uint64_t(cfg.lineBytes) * cfg.l2Assoc)) {
-        fatal("invalid GPU config: l2Bytes %u cannot hold one set of "
-              "%u-way %u-byte lines",
-              cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes);
-    }
-    if (!(cfg.coreClockGhz > 0.0))
-        fatal("invalid GPU config: coreClockGhz must be > 0");
-    if (!(cfg.dramIssueInterval > 0.0))
-        fatal("invalid GPU config: dramIssueInterval must be > 0");
+    const std::string why = configError(cfg);
+    if (!why.empty())
+        fatal("invalid GPU config: %s", why.c_str());
 }
 
 /** Runtime kill switch for launch memoization (TANGO_NO_MEMO=1).  Read on
@@ -356,17 +328,23 @@ Gpu::launch(const KernelLaunch &launch, const SimPolicy &requested)
     // values while the cached statistics are spliced in.  Self-validating:
     // the replay recomputes the Step-stream digest and any divergence
     // (e.g. a data-dependent branch flipping) restores memory and falls
-    // back to full simulation.
+    // back to full simulation.  A valuesUnobserved launch skips even the
+    // functional run: lowering proved its program value-oblivious, so its
+    // digest is fixed by the signature, and nothing reads its values.
     MemoEntry *entry = nullptr;
     if (policy.memoize && !envNoMemo()) {
         entry = &memo_[launchSignature(launch, policy)];
         entry->seen++;
     }
     if (entry != nullptr && entry->armed) {
-        const uint64_t usedBytes = mem_.used();
-        memoSnapshot_.assign(mem_.data(), mem_.data() + usedBytes);
-        const uint64_t h = runFunctionalOnly(launch, ids, warpIds, mem_);
-        if (h == entry->streamHash) {
+        bool steady = true;
+        if (!launch.valuesUnobserved) {
+            const uint64_t usedBytes = mem_.used();
+            memoSnapshot_.assign(mem_.data(), mem_.data() + usedBytes);
+            steady = runFunctionalOnly(launch, ids, warpIds, mem_) ==
+                     entry->streamHash;
+        }
+        if (steady) {
             entry->replays++;
             SimMetrics::get().replayed.inc();
             KernelStats ks = entry->stats;
@@ -568,6 +546,9 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
         std::vector<uint64_t> streamDigests;
         std::unique_ptr<trace::RingSink> sink;
         std::unique_ptr<Cache> l2;
+        /** What the shard threw (e.g. CycleCapExceeded), rethrown on the
+         *  caller after every worker has joined. */
+        std::exception_ptr error;
     };
     std::vector<ShardResult> results(plan.size());
     SimMetrics::get().shardedLaunches.inc();
@@ -595,7 +576,7 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
     // CTAs of one launch write disjoint outputs (the CUDA independence
     // contract the kernels are written against) — so functional results
     // match the sequential interleaving.
-    const auto runShard = [&](size_t i) {
+    const auto simulateShard = [&](size_t i) {
         ShardResult &r = results[i];
         trace::ScopedSink scoped(r.sink.get());
         auto l2 = std::make_unique<Cache>(*l2_);
@@ -624,6 +605,13 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
         l2->setTrace(nullptr, trace::CacheLevel::L2);
         r.l2 = std::move(l2);
     };
+    const auto runShard = [&](size_t i) {
+        try {
+            simulateShard(i);
+        } catch (...) {
+            results[i].error = std::current_exception();
+        }
+    };
 
     std::vector<std::thread> workers;
     workers.reserve(plan.size() - 1);
@@ -632,6 +620,10 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
     runShard(0);
     for (auto &t : workers)
         t.join();
+    for (const auto &r : results) {
+        if (r.error)
+            std::rethrow_exception(r.error);
+    }
 
     // --- reduce, strictly in shard order ----------------------------
     // Raw counters are integer-valued doubles (and uint64 arrays in the

@@ -56,8 +56,9 @@ class Gpu
      * set) repeated identical launches that have reached a provable
      * steady state are *replayed*: lanes execute functionally for real
      * values while the cached statistics of the steady-state simulation
-     * are spliced in (KernelStats::replayed marks them).  Statistics are
-     * bit-identical either way.
+     * are spliced in (KernelStats::replayed marks them).  A launch
+     * carrying KernelLaunch::valuesUnobserved splices without executing
+     * at all.  Statistics are bit-identical either way.
      *
      * @return complete, scaled statistics including power.
      */
@@ -81,8 +82,9 @@ class Gpu
      * end-of-launch µ-arch fingerprint; when two consecutive full
      * simulations produce bit-identical statistics, fingerprints and
      * stream hashes the entry arms, and later occurrences replay
-     * (functional-only execution + cached statistics).  Any divergence
-     * disarms and re-baselines.
+     * (functional-only execution + cached statistics, or the statistics
+     * alone for a valuesUnobserved launch).  Any divergence disarms and
+     * re-baselines.
      */
     struct MemoEntry
     {
@@ -130,7 +132,8 @@ class Gpu
      *  coldStart()/reconfigure(), so entries never span a config change
      *  (which is why GpuConfig is not part of the signature). */
     std::unordered_map<uint64_t, MemoEntry> memo_;
-    /** Scratch snapshot of device memory for replay fallback. */
+    /** Scratch snapshot of device memory for replay fallback (never
+     *  taken for valuesUnobserved launches). */
     std::vector<uint8_t> memoSnapshot_;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/program.hh"
 
 #include <algorithm>
+#include <bitset>
 
 #include "common/logging.hh"
 
@@ -70,6 +71,45 @@ DecodedProgram::DecodedProgram(const Program &prog)
             break;
         }
     }
+}
+
+bool
+valueOblivious(const Program &prog)
+{
+    // Register and predicate indices are uint8_t, so 256 bits cover any
+    // program, valid or not.
+    std::bitset<256> reg, pred;
+    uint8_t srcs[3];
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (const Instr &ins : prog.code) {
+            bool tainted = ins.op == Op::Ld && (ins.space == Space::Global ||
+                                                ins.space == Space::Shared);
+            if (ins.op == Op::Selp)
+                tainted |= pred[ins.src[2]];
+            const int n = instrSourceRegs(ins, srcs);
+            for (int i = 0; i < n; i++)
+                tainted |= reg[srcs[i]];
+            if (!tainted)
+                continue;
+            const bool setsPred = ins.op == Op::Set && ins.dstIsPred;
+            if (!setsPred && !instrWritesReg(ins))
+                continue;
+            std::bitset<256> &file = setsPred ? pred : reg;
+            if (!file[ins.dst]) {
+                file[ins.dst] = true;
+                changed = true;
+            }
+        }
+    }
+    for (const Instr &ins : prog.code) {
+        if (ins.pred != noPred && pred[ins.pred])
+            return false;
+        if ((ins.op == Op::Ld || ins.op == Op::St) &&
+            ins.src[0] != Instr::immReg && reg[ins.src[0]])
+            return false;
+    }
+    return true;
 }
 
 uint16_t

@@ -117,6 +117,19 @@ class DecodedProgram
     std::vector<DecodedInstr> ops_;
 };
 
+/**
+ * @return whether no guard predicate (branch conditions included) and
+ * no Ld/St address of @p prog can depend on a value loaded from global
+ * or shared memory.  A flow-insensitive taint fixpoint over the
+ * register and predicate files: loads from those two spaces are the
+ * sources, and taint flows through every register write, predicate Set
+ * and Selp predicate.  Params, the constant bank, special registers and
+ * immediates are clean — all of them are hashed into the memo launch
+ * signature — so an oblivious program's executed pcs, exec masks and
+ * addresses (its Step-stream digest) are fixed by its launch.
+ */
+bool valueOblivious(const Program &prog);
+
 /** One kernel launch: program + geometry + parameter block. */
 struct KernelLaunch
 {
@@ -127,6 +140,16 @@ struct KernelLaunch
     std::vector<uint32_t> params;
     /** Constant-bank contents for this launch (dims, scales, ...). */
     std::vector<uint8_t> constData;
+    /**
+     * Nothing reads this launch's values, and its program passed
+     * valueOblivious(), so its Step stream is a function of the launch
+     * signature.  rt::lower()/lowerRnn() set it for timing-only
+     * lowerings; an armed memo replay then splices the cached
+     * statistics without executing (sim/gpu.cc).  Not part of the
+     * launch signature: it changes how a replay runs, never what it
+     * reports.
+     */
+    bool valuesUnobserved = false;
 
     uint64_t totalThreads() const { return grid.count() * block.count(); }
     uint32_t threadsPerCta() const

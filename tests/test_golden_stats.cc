@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/metrics.hh"
 #include "nn/models/models.hh"
 #include "nn/weights.hh"
 #include "runtime/run_cache.hh"
@@ -898,6 +899,39 @@ TEST(GoldenStats, RnnSteadyStateIsReplayed)
         // Replayed kernels are marked; the readout is not.
         EXPECT_TRUE(run.layers.back().kernels.back().replayed == false);
     }
+}
+
+/** Timing-only RNN runs splice their armed replays without executing
+ *  them (KernelLaunch::valuesUnobserved, set by lowering).  Every
+ *  statistic must still match a fully simulated TANGO_NO_MEMO=1 run bit
+ *  for bit, and no replay may disagree with its steady state. */
+TEST(GoldenStats, TimingOnlyRnnSplicedReplaysMatchMemoOff)
+{
+    const metrics::Counter &mismatches =
+        metrics::counter("tango_sim_memo_mismatches_total", "");
+    const uint64_t mismatches0 = mismatches.value();
+    for (const std::string name : {"gru", "lstm"}) {
+        const auto run = [&] {
+            sim::Gpu gpu(sim::pascalGP102());
+            rt::Runtime rtm(gpu);
+            nn::AnyModel model(name == "gru" ? nn::models::buildGru(64)
+                                             : nn::models::buildLstm(64));
+            return rtm.run(model, rt::RunPolicy::named("exact"));
+        };
+        const NetRun on = run();
+        NetRun off;
+        {
+            ScopedNoMemo guard;
+            off = run();
+        }
+        EXPECT_GT(on.totals.get("mem.replayed_launches"), 0.0) << name;
+        EXPECT_EQ(off.totals.get("mem.replayed_launches"), 0.0) << name;
+        const std::vector<std::string> diffs = diffNetRun(off, on);
+        EXPECT_TRUE(diffs.empty())
+            << name << ": spliced run drifted from memo-off in "
+            << diffs.size() << " fields, e.g. " << diffs.front();
+    }
+    EXPECT_EQ(mismatches.value(), mismatches0);
 }
 
 } // namespace

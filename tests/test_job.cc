@@ -24,6 +24,7 @@
 #include "runtime/job.hh"
 #include "runtime/run_cache.hh"
 #include "sim/gpu.hh"
+#include "sim/shard.hh"
 
 #ifndef TANGO_GOLDEN_DIR
 #error "TANGO_GOLDEN_DIR must point at tests/golden"
@@ -359,6 +360,44 @@ TEST(Job, Validate)
     inlineP.hasInlinePolicy = true;
     inlineP.inlinePolicy = rt::RunPolicy::named("bench");
     EXPECT_EQ(inlineP.validate(), "");
+}
+
+// Well-formed specs the simulator cannot run used to reach a fatal()
+// deep inside it, killing tango-serve.  validate() refuses them by the
+// simulator's own rules (sim::configError, sim::kMaxShards).
+TEST(Job, ValidateRefusesAConfigTheGpuCannotBuild)
+{
+    JobSpec spec;
+    std::string err;
+    ASSERT_TRUE(JobSpec::fromJson(R"({"net":"cifarnet","l1dBytes":1})",
+                                  spec, &err))
+        << err;
+    const std::string why = spec.validate();
+    EXPECT_EQ(why, "invalid GPU config: " +
+                       sim::configError(spec.gpuConfig()));
+    EXPECT_NE(why.find("l1dBytes 1 cannot hold one set"), std::string::npos)
+        << why;
+
+    spec.l1dBytes = 0;   // bypassed: fine
+    EXPECT_EQ(spec.validate(), "");
+    spec.l1dBytes = 4 * 128;   // exactly one 4-way set of 128-byte lines
+    EXPECT_EQ(spec.validate(), "");
+}
+
+TEST(Job, ValidateRefusesTooManyShards)
+{
+    JobSpec spec;
+    std::string err;
+    ASSERT_TRUE(JobSpec::fromJson(
+        R"({"net":"gru","runPolicy":{"sim":{"shards":1000}}})", spec, &err))
+        << err;
+    ASSERT_TRUE(spec.hasInlinePolicy);
+    EXPECT_NE(spec.validate().find("shards 1000 out of range"),
+              std::string::npos)
+        << spec.validate();
+
+    spec.inlinePolicy.sim.shards = sim::kMaxShards;
+    EXPECT_EQ(spec.validate(), "");
 }
 
 // ------------------------------------------------------------------ JobResult

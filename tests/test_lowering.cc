@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "nn/models/models.hh"
 #include "nn/weights.hh"
 #include "runtime/lowering.hh"
@@ -157,6 +159,42 @@ TEST(Lowering, UploadRequiresWeights)
             EXPECT_EQ(mem.read<float>(w), net.layers()[0].weights[0]);
         }
     }
+}
+
+// Every program a timing-only lowering emits for the suite must pass
+// the value-oblivious proof, and its launches must carry the splice bit:
+// without it, armed RNN replays silently go back to executing.
+TEST(Lowering, TimingOnlySuiteLaunchesAreValuesUnobserved)
+{
+    for (const std::string &name : nn::models::runnableNames()) {
+        sim::DeviceMemory mem;
+        const nn::AnyModel model = nn::models::buildAny(name);
+        const std::vector<LoweredKernel> kernels =
+            model.isRnn() ? lowerRnn(model.rnn(), mem, false).kernels
+                          : lower(model.cnn(), mem, false).kernels;
+        ASSERT_FALSE(kernels.empty()) << name;
+        std::set<const sim::Program *> programs;
+        for (const LoweredKernel &k : kernels) {
+            const sim::Program &p = *k.launch.program;
+            EXPECT_TRUE(k.launch.valuesUnobserved) << p.name;
+            if (programs.insert(&p).second) {
+                EXPECT_TRUE(sim::valueOblivious(p)) << p.name;
+            }
+        }
+    }
+}
+
+TEST(Lowering, FunctionalLaunchesAreNeverValuesUnobserved)
+{
+    sim::DeviceMemory mem(1 << 28);
+    nn::Network net = buildCifarNet();
+    nn::initWeights(net);
+    for (const LoweredKernel &k : lower(net, mem, true).kernels)
+        EXPECT_FALSE(k.launch.valuesUnobserved) << k.launch.program->name;
+    nn::RnnModel gru = nn::models::buildGru();
+    nn::initWeights(gru);
+    for (const LoweredKernel &k : lowerRnn(gru, mem, true).kernels)
+        EXPECT_FALSE(k.launch.valuesUnobserved) << k.launch.program->name;
 }
 
 } // namespace

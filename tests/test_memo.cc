@@ -7,18 +7,26 @@
  * full protocol: arming after two identical full simulations, stat
  * splicing on replay, functional (real-value) execution under replay,
  * the self-validating fallback when a data-dependent kernel diverges,
- * per-signature isolation, the TANGO_NO_MEMO kill switch, and the
+ * per-signature isolation, the TANGO_NO_MEMO kill switch, the
  * order-stability of the µ-arch state digests the fingerprint is built
- * from.
+ * from, and the value-oblivious proof (sim::valueOblivious) behind
+ * spliced replays that skip execution.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <numeric>
+#include <random>
+#include <set>
 
 #include "kernels/builder.hh"
+#include "nn/models/models.hh"
+#include "runtime/lowering.hh"
+#include "runtime/runtime.hh"
 #include "sim/cache.hh"
 #include "sim/gpu.hh"
+#include "sim/interp.hh"
 
 namespace tango::sim {
 namespace {
@@ -279,6 +287,189 @@ TEST(Memo, CacheStateDigestIsRecencyOrderStable)
     c4.access(0, false, 0);
     c4.access(8192, false, 1);
     EXPECT_NE(c1.stateDigest(), c4.stateDigest());
+}
+
+// ------------------------------------------------------ value-oblivious
+// sim::valueOblivious decides at lowering whether an armed replay may
+// skip execution, so a false "oblivious" verdict would splice wrong
+// statistics.  Each rejection case below isolates one taint rule.
+
+TEST(ValueOblivious, RejectsGuardSetFromGlobalLoad)
+{
+    kern::Builder b("taint.guard");
+    kern::Reg a = b.param(0);
+    kern::Reg v = b.reg();
+    b.ld(DType::U32, Space::Global, v, a);
+    kern::PredReg p = b.pred();
+    b.setpi(p, DType::U32, Cmp::Gt, v, 0);
+    b.guard(p);
+    b.st(DType::U32, Space::Global, a, a);
+    b.endGuard();
+    b.exit();
+    EXPECT_FALSE(valueOblivious(*b.finish()));
+}
+
+TEST(ValueOblivious, RejectsBranchOnSharedLoad)
+{
+    kern::Builder b("taint.branch");
+    kern::Reg sa = b.immU(b.shared(4));
+    kern::Reg v = b.reg();
+    b.ld(DType::U32, Space::Shared, v, sa);
+    kern::PredReg p = b.pred();
+    b.setpi(p, DType::U32, Cmp::Eq, v, 0);
+    kern::Label skip = b.label();
+    b.braIf(skip, p);
+    b.nop();
+    b.bind(skip);
+    b.exit();
+    EXPECT_FALSE(valueOblivious(*b.finish()));
+}
+
+TEST(ValueOblivious, RejectsStoreAddressFromLoopCarriedChain)
+{
+    // In program order the store's address register is written before
+    // the Mov that taints its source, which is written before the load:
+    // only the third pass of the fixpoint reaches the address.
+    kern::Builder b("taint.chain");
+    kern::Reg base = b.param(0);
+    kern::Reg addr = b.reg();
+    kern::Reg t = b.reg();
+    kern::Reg u = b.reg();
+    b.movR(addr, base);
+    b.movR(t, base);
+    b.movR(u, base);
+    kern::Reg i = b.immU(0);
+    kern::PredReg more = b.pred();
+    kern::Label top = b.label();
+    b.bind(top);
+    b.st(DType::U32, Space::Global, addr, i);
+    b.emit3i(Op::Add, DType::U32, addr, t, 4);
+    b.movR(t, u);
+    b.ld(DType::U32, Space::Global, u, base);
+    b.emit3i(Op::Add, DType::U32, i, i, 1);
+    b.setpi(more, DType::U32, Cmp::Lt, i, 8);
+    b.braIf(top, more);
+    b.exit();
+    EXPECT_FALSE(valueOblivious(*b.finish()));
+}
+
+TEST(ValueOblivious, RejectsSelpOnTaintedPredicateFeedingAnAddress)
+{
+    // Both Selp operands are clean; only its predicate carries taint.
+    kern::Builder b("taint.selp");
+    kern::Reg a = b.param(0);
+    kern::Reg c = b.param(1);
+    kern::Reg v = b.reg();
+    b.ld(DType::U32, Space::Global, v, a);
+    kern::PredReg p = b.pred();
+    b.setpi(p, DType::U32, Cmp::Ne, v, 0);
+    kern::Reg addr = b.reg();
+    b.selp(DType::U32, addr, a, c, p);
+    b.st(DType::U32, Space::Global, addr, c);
+    b.exit();
+    EXPECT_FALSE(valueOblivious(*b.finish()));
+}
+
+TEST(ValueOblivious, LoadedValuesMayFlowIntoDataButNotControl)
+{
+    EXPECT_TRUE(valueOblivious(*doubleKernel(256, 512).program));
+    EXPECT_FALSE(valueOblivious(*dataDependentKernel(256, 512, 1024).program));
+}
+
+/** Overwrite every allocated byte of @p mem with a seeded pattern. */
+void
+scramble(DeviceMemory &mem, uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    for (uint64_t a = 0; a + 8 <= mem.used(); a += 8)
+        mem.write<uint64_t>(static_cast<uint32_t>(a), rng());
+}
+
+/** Stream digest of a functional run of @p l's first and last CTA (all
+ *  warps) over memory scrambled with @p seed. */
+uint64_t
+digestOver(const KernelLaunch &l, DeviceMemory &mem, uint64_t seed)
+{
+    scramble(mem, seed);
+    std::vector<uint64_t> ctas = {0};
+    if (l.grid.count() > 1)
+        ctas.push_back(l.grid.count() - 1);
+    std::vector<uint32_t> warps(l.warpsPerCta());
+    std::iota(warps.begin(), warps.end(), 0u);
+    return runFunctionalOnly(l, ctas, warps, mem);
+}
+
+TEST(ValueOblivious, SuiteDigestsIgnoreMemoryContents)
+{
+    for (const std::string name : {"gru", "lstm", "cifarnet"}) {
+        DeviceMemory mem(1ull << 30);
+        const nn::AnyModel model = nn::models::buildAny(name);
+        const std::vector<rt::LoweredKernel> kernels =
+            model.isRnn() ? rt::lowerRnn(model.rnn(), mem, false).kernels
+                          : rt::lower(model.cnn(), mem, false).kernels;
+        std::set<const Program *> seen;
+        for (const rt::LoweredKernel &k : kernels) {
+            const Program &p = *k.launch.program;
+            if (!seen.insert(&p).second)
+                continue;
+            ASSERT_TRUE(valueOblivious(p)) << p.name;
+            EXPECT_EQ(digestOver(k.launch, mem, 1), digestOver(k.launch, mem, 2))
+                << p.name << ": digest depends on memory contents";
+        }
+        EXPECT_GE(seen.size(), 2u) << name;
+    }
+
+    // The check can fail: memo.datadep's trip count is a loaded value
+    // (reduced mod 64 so the loop ends).
+    DeviceMemory mem(1 << 20);
+    const uint32_t na = mem.allocate(4);
+    const KernelLaunch l =
+        dataDependentKernel(na, mem.allocate(4 * 32), mem.allocate(4 * 32));
+    const auto datadep = [&](uint64_t seed) {
+        scramble(mem, seed);
+        mem.write<uint32_t>(na, mem.read<uint32_t>(na) % 64);
+        const std::vector<uint32_t> warps = {0};
+        return runFunctionalOnly(l, {0}, warps, mem);
+    };
+    EXPECT_NE(datadep(1), datadep(2));
+}
+
+/** A canary in the GRU's ping-pong hidden state survives the armed
+ *  replays of a timing-only lowering (they splice, never execute) and is
+ *  overwritten once the same launches lose valuesUnobserved. */
+TEST(ValueOblivious, SplicedReplaysDoNotExecute)
+{
+    const float canary = 1234.5f;
+    const auto hiddenKeepsCanary = [&](bool unobserved) {
+        Gpu gpu(pascalGP102());
+        const nn::RnnModel gru = nn::models::buildGru(16);
+        rt::LoweredRnn low = rt::lowerRnn(gru, gpu.mem(), false);
+        const SimPolicy policy = rt::RunPolicy::named("exact").sim;
+        const size_t cells = gru.seqLen;
+        size_t t = 0;
+        for (; t < cells; t++) {
+            low.kernels[t].launch.valuesUnobserved = unobserved;
+            if (gpu.launch(low.kernels[t].launch, policy).replayed)
+                break;   // both ping-pong parities are armed
+        }
+        EXPECT_LT(t + 2, cells) << "replay never armed";
+        for (uint32_t h : low.hAddr)
+            for (uint32_t i = 0; i < gru.hidden; i++)
+                gpu.mem().write<float>(h + 4 * i, canary);
+        for (t++; t < cells; t++) {
+            low.kernels[t].launch.valuesUnobserved = unobserved;
+            EXPECT_TRUE(gpu.launch(low.kernels[t].launch, policy).replayed)
+                << "cell " << t;
+        }
+        bool kept = true;
+        for (uint32_t h : low.hAddr)
+            for (uint32_t i = 0; i < gru.hidden; i++)
+                kept &= gpu.mem().read<float>(h + 4 * i) == canary;
+        return kept;
+    };
+    EXPECT_TRUE(hiddenKeepsCanary(true));
+    EXPECT_FALSE(hiddenKeepsCanary(false))
+        << "self-checking replays execute and must overwrite the canary";
 }
 
 } // namespace

@@ -705,5 +705,63 @@ TEST(Serve, ShutdownRequestTriggersDrain)
     EXPECT_TRUE(ts.server.draining());
 }
 
+// ------------------------------------------------------------------- chaos
+// Well-formed requests that once reached a fatal() and killed the
+// daemon.  These run under the ctest label "chaos" (tests/CMakeLists.txt).
+
+/** Send one run request carrying the raw JobSpec JSON @p job and decode
+ *  the result. */
+JobResult
+rawRun(RawConn &conn, const std::string &job)
+{
+    const std::string response =
+        conn.roundTrip(R"({"type":"run","id":1,"job":)" + job + "}");
+    uint64_t id = 0;
+    JobResult res;
+    std::string err;
+    EXPECT_TRUE(serve::parseResultResponse(response, id, res, &err)) << err;
+    return res;
+}
+
+TEST(ServeChaos, UnbuildableConfigAndShardCountAreBadRequests)
+{
+    TestServer ts;
+    RawConn conn(ts.server.port());
+    for (const char *job :
+         {R"({"net":"cifarnet","l1dBytes":1})",
+          R"({"net":"gru","runPolicy":{"sim":{"shards":1000}}})"}) {
+        const JobResult res = rawRun(conn, job);
+        EXPECT_FALSE(res.ok) << job;
+        EXPECT_EQ(res.error.rfind("bad request: ", 0), 0u) << res.error;
+    }
+    expectRunsAccounted(ts.server.metrics(), 2);
+    std::string err;
+    EXPECT_TRUE(ts.connect().ping(&err)) << err;
+}
+
+TEST(ServeChaos, CycleCapFailsOneJobAndTheDaemonKeepsServing)
+{
+    TestServer ts;
+    RawConn conn(ts.server.port());
+    const std::string cappedJob =
+        R"({"net":"gru","seqLen":4,"runPolicy":{"sim":{"maxCycles":10}}})";
+    for (int attempt = 1; attempt <= 2; attempt++) {
+        // A failed job is not cached: the retry simulates and fails again.
+        const JobResult capped = rawRun(conn, cappedJob);
+        EXPECT_FALSE(capped.ok);
+        EXPECT_EQ(capped.error.rfind("simulation failed: ", 0), 0u)
+            << capped.error;
+        EXPECT_NE(capped.error.find("safety cap"), std::string::npos)
+            << capped.error;
+        EXPECT_EQ(ts.server.metrics().failures, uint64_t(attempt));
+    }
+
+    // The next request on the same daemon and connection simulates.
+    const JobResult next = rawRun(conn, R"({"net":"gru","seqLen":4})");
+    EXPECT_TRUE(next.ok) << next.error;
+    EXPECT_EQ(next.served, "sim");
+    expectRunsAccounted(ts.server.metrics());
+}
+
 } // namespace
 } // namespace tango

@@ -24,6 +24,9 @@
  *      vectors equals the digest fold of the flat (unsharded) launch
  *      order, no matter where the shard boundaries fall — which is why
  *      memo fingerprints and functional replay work unchanged at K>1.
+ *
+ * Plus one end-to-end property of the sharded launch itself: a shard
+ * that throws fails the launch on the caller, never the process.
  */
 
 #include <gtest/gtest.h>
@@ -37,8 +40,11 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "kernels/builder.hh"
+#include "metrics/metrics.hh"
 #include "sim/core.hh"
 #include "sim/digest.hh"
+#include "sim/gpu.hh"
 #include "sim/profile.hh"
 #include "sim/shard.hh"
 
@@ -332,6 +338,46 @@ TEST(ShardReduction, ShardedStreamDigestEqualsFlatFold)
         for (uint64_t h : flat)
             sim::digest::mix(ref, h);
         EXPECT_EQ(sim::combineStreamDigests(parts), ref);
+    }
+}
+
+// -------------------------------------------------------- sharded launch
+
+// The cycle cap throws sim::CycleCapExceeded.  Inside a shard worker
+// that exception must reach the caller after every worker has joined:
+// escaping a std::thread would terminate the process (and with it a
+// serving daemon).  The device stays usable afterwards.
+TEST(ShardedLaunch, CycleCapThrowsOnTheCallerForEveryShardCount)
+{
+    kern::Builder b("shard.store");
+    kern::Reg tx = b.movS(sim::SReg::TidX);
+    kern::Reg cta = b.movS(sim::SReg::CtaIdX);
+    kern::Reg i = b.madr(sim::DType::U32, cta, b.immU(32), tx);
+    kern::Reg addr = b.addi(sim::DType::U32, b.shli(i, 2), 1024);
+    b.st(sim::DType::U32, sim::Space::Global, addr, tx);
+    b.exit();
+    sim::KernelLaunch l;
+    l.program = b.finish();
+    l.grid = {8, 1, 1};
+    l.block = {32, 1, 1};
+
+    const metrics::Counter &sharded =
+        metrics::counter("tango_sim_sharded_launches_total", "");
+    for (uint32_t shards : {1u, 4u}) {
+        const uint64_t sharded0 = sharded.value();
+        sim::Gpu gpu(sim::pascalGP102());
+        gpu.mem().allocate(1024 + 4 * 8 * 32);
+        sim::SimPolicy capped;
+        capped.fullSim = true;
+        capped.maxResidentCtas = 0;
+        capped.shards = shards;
+        capped.maxCycles = 1;
+        EXPECT_THROW(gpu.launch(l, capped), sim::CycleCapExceeded)
+            << shards << " shards";
+        EXPECT_EQ(sharded.value() - sharded0, shards > 1 ? 1u : 0u);
+        sim::SimPolicy ok = capped;
+        ok.maxCycles = sim::SimPolicy{}.maxCycles;
+        EXPECT_GT(gpu.launch(l, ok).smCycles, 1u) << shards << " shards";
     }
 }
 
