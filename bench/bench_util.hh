@@ -3,12 +3,12 @@
  * Shared infrastructure for the benchmark harness.
  *
  * Every bench binary reproduces one table or figure of the paper: it
- * prefetches the relevant simulation points into the process-wide
- * rt::Engine (which shards them across worker threads and memoizes the
- * results, so repeated queries are free), prints the figure's series as
- * aligned tables, and registers google-benchmark entries whose counters
- * carry the headline numbers (so the values also appear in
- * benchmark-formatted output and JSON).
+ * prefetches the figure's grid of rt::JobSpec points into the
+ * process-wide rt::Engine (which shards them across worker threads and
+ * memoizes the results, so repeated queries are free), prints the
+ * figure's series as aligned tables, and registers google-benchmark
+ * entries whose counters carry the headline numbers (so the values also
+ * appear in benchmark-formatted output and JSON).
  *
  * Environment knobs (see rt::EngineOptions::fromEnv):
  *   TANGO_ENGINE_THREADS  worker count (default: hardware concurrency)
@@ -37,29 +37,12 @@
 
 namespace tango::bench {
 
-using rt::RunKey;
-using rt::makeConfig;
-
-/** The process-wide simulation engine every bench binary shares. */
+/** The process-wide simulation engine every bench binary shares:
+ *  prefetch() a figure's rt::JobSpec grid, then run() each point. */
 inline rt::Engine &
 engine()
 {
     return rt::Engine::global();
-}
-
-/** Submit simulation points ahead of use so the engine's workers
- *  simulate them concurrently; later netRun() calls only wait. */
-inline void
-prefetch(const std::vector<RunKey> &keys)
-{
-    engine().prefetch(keys);
-}
-
-/** Run (or recall) a network under a configuration. */
-inline const rt::NetRun &
-netRun(const RunKey &key)
-{
-    return engine().run(key);
 }
 
 /** Register a no-op benchmark whose counter carries a reproduced value. */

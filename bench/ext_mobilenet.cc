@@ -17,16 +17,16 @@ main(int argc, char **argv)
     using namespace tango;
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys = {{"mobilenet"}, {"alexnet"}};
+    std::vector<rt::JobSpec> keys = {{"mobilenet"}, {"alexnet"}};
     for (uint32_t l1 : {0u, 64u * 1024, 128u * 1024}) {
-        bench::RunKey key{"mobilenet"};
+        rt::JobSpec key{"mobilenet"};
         key.l1dBytes = l1;
         keys.push_back(key);
     }
-    bench::prefetch(keys);
+    bench::engine().prefetch(keys);
 
-    const rt::NetRun &run = bench::netRun({"mobilenet"});
-    const rt::NetRun &alex = bench::netRun({"alexnet"});
+    const rt::NetRun &run = bench::engine().run({"mobilenet"});
+    const rt::NetRun &alex = bench::engine().run({"alexnet"});
 
     Table t("MobileNet v1 (extension) vs AlexNet");
     t.header({"metric", "mobilenet", "alexnet"});
@@ -52,9 +52,9 @@ main(int argc, char **argv)
     sweep.header({"config", "norm. time"});
     double base = 0.0;
     for (uint32_t l1 : {0u, 64u * 1024, 128u * 1024}) {
-        bench::RunKey key{"mobilenet"};
+        rt::JobSpec key{"mobilenet"};
         key.l1dBytes = l1;
-        const rt::NetRun &r = bench::netRun(key);
+        const rt::NetRun &r = bench::engine().run(key);
         if (l1 == 0)
             base = r.totalTimeSec;
         sweep.row({l1 ? std::to_string(l1 / 1024) + "KB" : "No L1",

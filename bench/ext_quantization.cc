@@ -18,14 +18,14 @@ namespace {
 using namespace tango;
 
 /** Submit one variant as a custom engine job (the f32 variant shares
- *  the standard RunKey cache entry; the quantized one gets "+quant"). */
+ *  the standard JobSpec cache entry; the quantized one gets "+quant"). */
 std::shared_future<const rt::NetRun *>
 submitVariant(const std::string &name, bool quantized)
 {
-    const bench::RunKey base{name};
-    const std::string key = base.str() + (quantized ? "+quant" : "");
+    const rt::JobSpec base{name};
+    const std::string key = base.cacheKey().str + (quantized ? "+quant" : "");
     return bench::engine().submit(
-        key, bench::makeConfig(base), [name, quantized](sim::Gpu &gpu) {
+        key, base.gpuConfig(), [name, quantized](sim::Gpu &gpu) {
             nn::AnyModel model = nn::models::buildAny(name);
             if (quantized) {
                 // Quantization only changes weight storage; the

@@ -28,14 +28,14 @@ main(int argc, char **argv)
     tango::setVerbose(false);
 
     // One engine job per network; the pool simulates them concurrently.
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : figNets)
         keys.push_back({net});
-    bench::prefetch(keys);
+    bench::engine().prefetch(keys);
 
     std::vector<std::vector<double>> values;   // [net][layer]
     for (const auto &net : figNets) {
-        const rt::NetRun &run = bench::netRun({net});
+        const rt::NetRun &run = bench::engine().run({net});
         std::vector<double> col;
         for (const auto &fig : figLayers) {
             const double frac = run.totalTimeSec > 0

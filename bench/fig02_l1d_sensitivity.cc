@@ -28,24 +28,23 @@ main(int argc, char **argv)
 
     const auto nets = nn::models::allNames();
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nets) {
         for (uint32_t size : sizes) {
-            bench::RunKey key{net};
+            rt::JobSpec key{net};
             key.l1dBytes = size;
             keys.push_back(key);
         }
     }
-    bench::prefetch(keys);
+    const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);
+    auto next = runs.begin();   // consumed in the order keys were built
 
     std::vector<std::vector<double>> values;   // [net][size]
     for (const auto &net : nets) {
         double base = 0.0;
         std::vector<double> col;
         for (size_t i = 0; i < sizes.size(); i++) {
-            bench::RunKey key{net};
-            key.l1dBytes = sizes[i];
-            const rt::NetRun &run = bench::netRun(key);
+            const rt::NetRun &run = **next++;
             if (i == 0)
                 base = run.totalTimeSec;
             col.push_back(base > 0 ? run.totalTimeSec / base : 0.0);

@@ -16,16 +16,16 @@ main(int argc, char **argv)
     using namespace tango;
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nn::models::allNames())
         keys.push_back({net});
-    bench::prefetch(keys);
+    bench::engine().prefetch(keys);
 
     Table t("Fig 3: peak power consumption across layers (W)");
     t.header({"network", "peak power (W)"});
     double cifar = 0.0, alex = 0.0;
     for (const auto &net : nn::models::allNames()) {
-        const rt::NetRun &run = bench::netRun({net});
+        const rt::NetRun &run = bench::engine().run({net});
         t.row({net, Table::num(run.peakPowerW, 1)});
         if (net == "cifarnet")
             cifar = run.peakPowerW;

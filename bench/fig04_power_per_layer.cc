@@ -46,14 +46,14 @@ main(int argc, char **argv)
 {
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : figNets)
         keys.push_back({net});
-    bench::prefetch(keys);
+    bench::engine().prefetch(keys);
 
     std::vector<std::vector<double>> values;   // [net][layer]
     for (const auto &net : figNets) {
-        const rt::NetRun &run = bench::netRun({net});
+        const rt::NetRun &run = bench::engine().run({net});
         std::vector<double> col;
         for (const auto &fig : figLayers)
             col.push_back(avgPowerOfFig(run, fig));
@@ -66,7 +66,7 @@ main(int argc, char **argv)
 
     // Observation 4 headline: pooling-vs-conv power ratio in CifarNet
     // should be far closer to 1 than the time ratio is.
-    const rt::NetRun &cifar = bench::netRun({"cifarnet"});
+    const rt::NetRun &cifar = bench::engine().run({"cifarnet"});
     const double convP = avgPowerOfFig(cifar, "Conv");
     const double poolP = avgPowerOfFig(cifar, "Pooling");
     const double convT = cifar.figTypeTime("Conv");

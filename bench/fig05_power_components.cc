@@ -24,10 +24,10 @@ main(int argc, char **argv)
 
     const auto nets = nn::models::allNames();
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nets)
         keys.push_back({net});
-    bench::prefetch(keys);
+    bench::engine().prefetch(keys);
 
     std::vector<std::string> compNames;
     for (size_t c = 0; c < sim::numPowerComps; c++) {
@@ -37,9 +37,9 @@ main(int argc, char **argv)
 
     std::vector<std::vector<double>> values;   // [net][component]
     for (const auto &net : nets) {
-        const rt::NetRun &run = bench::netRun({net});
+        const rt::NetRun &run = bench::engine().run({net});
         // Recompute the component breakdown from the merged counters.
-        const sim::GpuConfig cfg = bench::makeConfig({net});
+        const sim::GpuConfig cfg = rt::JobSpec{net}.gpuConfig();
         double gpuCycles = 0.0;
         for (const auto &l : run.layers)
             gpuCycles += l.gpuCycles();

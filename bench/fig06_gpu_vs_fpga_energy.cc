@@ -19,14 +19,15 @@ main(int argc, char **argv)
     using namespace tango;
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const char *netName : {"cifarnet", "squeezenet"}) {
-        bench::RunKey key{netName};
+        rt::JobSpec key{netName};
         key.platform = "TX1";
         key.l1dBytes = sim::maxwellTX1().l1dBytes;
         keys.push_back(key);
     }
-    bench::prefetch(keys);
+    const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);
+    auto next = runs.begin();   // consumed in the order keys were built
 
     Table t("Fig 6: energy on embedded GPU (TX1) vs embedded FPGA (PynQ)");
     t.header({"network", "TX1 time(ms)", "PynQ time(ms)", "TX1 peak(W)",
@@ -34,10 +35,7 @@ main(int argc, char **argv)
               "TX1/PynQ energy"});
 
     for (const char *netName : {"cifarnet", "squeezenet"}) {
-        bench::RunKey key{netName};
-        key.platform = "TX1";
-        key.l1dBytes = sim::maxwellTX1().l1dBytes;
-        const rt::NetRun &gpuRun = bench::netRun(key);
+        const rt::NetRun &gpuRun = **next++;
         // The paper computes energy as peak power x execution time
         // (the Wattsup meter reports power, not energy).
         const double gpuEnergy = gpuRun.peakPowerW * gpuRun.totalTimeSec;

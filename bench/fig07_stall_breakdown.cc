@@ -55,15 +55,16 @@ main(int argc, char **argv)
 {
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &[net, figs] : cols) {
-        bench::RunKey key{net};
+        rt::JobSpec key{net};
         key.platform = "GK210";
         key.l1dBytes = sim::keplerGK210().l1dBytes;
         key.policy = "stall";   // near-hardware warp residency
         keys.push_back(key);
     }
-    bench::prefetch(keys);
+    const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);
+    auto next = runs.begin();   // consumed in the order keys were built
 
     std::vector<std::string> groups;
     std::vector<std::vector<double>> values;
@@ -72,11 +73,7 @@ main(int argc, char **argv)
         stallNames.push_back(sim::stallName(static_cast<sim::Stall>(i)));
 
     for (const auto &[net, figs] : cols) {
-        bench::RunKey key{net};
-        key.platform = "GK210";
-        key.l1dBytes = sim::keplerGK210().l1dBytes;
-        key.policy = "stall";   // near-hardware warp residency
-        const rt::NetRun &run = bench::netRun(key);
+        const rt::NetRun &run = **next++;
         for (const auto &fig : figs) {
             const StatSet st = figTypeStats(run, fig);
             const prof::Series sb = prof::stallBreakdown(st);

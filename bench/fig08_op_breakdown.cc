@@ -17,16 +17,16 @@ main(int argc, char **argv)
 
     const auto nets = nn::models::allNames();
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nets)
         keys.push_back({net});
-    bench::prefetch(keys);
+    bench::engine().prefetch(keys);
 
     // Collect the union of opcodes that appear anywhere.
     std::vector<std::string> ops;
     std::vector<prof::Series> series;
     for (const auto &net : nets) {
-        const rt::NetRun &run = bench::netRun({net});
+        const rt::NetRun &run = bench::engine().run({net});
         series.push_back(prof::opBreakdown(run.totals));
         for (const auto &[op, frac] : series.back()) {
             if (std::find(ops.begin(), ops.end(), op) == ops.end())

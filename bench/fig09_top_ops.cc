@@ -16,7 +16,7 @@ main(int argc, char **argv)
     using namespace tango;
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nn::models::allNames())
         keys.push_back({net});
     const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);

@@ -16,7 +16,7 @@ main(int argc, char **argv)
     using namespace tango;
     setVerbose(false);
 
-    const rt::NetRun &run = bench::netRun({"resnet"});
+    const rt::NetRun &run = bench::engine().run({"resnet"});
 
     // Per-layer series in invocation order (sampled every N layers so the
     // table stays readable; ResNet-50 has ~175 layers).

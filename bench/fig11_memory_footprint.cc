@@ -18,22 +18,20 @@ main(int argc, char **argv)
     using namespace tango;
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nn::models::allNames()) {
-        bench::RunKey key{net};
+        rt::JobSpec key{net};
         key.platform = "TX1";
         key.l1dBytes = sim::maxwellTX1().l1dBytes;
         keys.push_back(key);
     }
-    bench::prefetch(keys);
+    const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);
+    auto next = runs.begin();   // consumed in the order keys were built
 
     Table t("Fig 11: max device memory usage (KB, TX1)");
     t.header({"network", "device memory (KB)", "log10(KB)"});
     for (const auto &net : nn::models::allNames()) {
-        bench::RunKey key{net};
-        key.platform = "TX1";
-        key.l1dBytes = sim::maxwellTX1().l1dBytes;
-        const rt::NetRun &run = bench::netRun(key);
+        const rt::NetRun &run = **next++;
         const double kb = static_cast<double>(run.deviceBytes) / 1024.0;
         t.row({net, Table::num(kb, 0),
                Table::num(kb > 0 ? std::log10(kb) : 0.0, 2)});

@@ -18,10 +18,10 @@ main(int argc, char **argv)
     using namespace tango;
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nn::models::allNames())
         keys.push_back({net});
-    bench::prefetch(keys);
+    bench::engine().prefetch(keys);
 
     const sim::GpuConfig cfg = sim::pascalGP102();
     const double rfKb = cfg.regFileBytesPerSm / 1024.0;
@@ -31,7 +31,7 @@ main(int argc, char **argv)
     t.header({"network", "max allocated (KB)", "max live (KB)",
               "allocated share"});
     for (const auto &net : nn::models::allNames()) {
-        const rt::NetRun &run = bench::netRun({net});
+        const rt::NetRun &run = bench::engine().run({net});
         // Allocated = regs/thread x resident threads at the widest kernel.
         double allocKb = 0.0, liveKb = 0.0;
         for (const auto &l : run.layers) {

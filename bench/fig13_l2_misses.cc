@@ -44,21 +44,19 @@ main(int argc, char **argv)
 {
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : figNets) {
-        bench::RunKey key{net};
-        key.l1dBytes = 0;
-        key.policy = "mem";
+        rt::JobSpec key{net};
+        key.l1dBytes = 0;       // paper: L1D bypassed
+        key.policy = "mem";     // preserve cross-CTA reuse
         keys.push_back(key);
     }
-    bench::prefetch(keys);
+    const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);
+    auto next = runs.begin();   // consumed in the order keys were built
 
     std::vector<std::vector<double>> values;   // [net][layer] log10(misses)
     for (const auto &net : figNets) {
-        bench::RunKey key{net};
-        key.l1dBytes = 0;       // paper: L1D bypassed
-        key.policy = "mem";     // preserve cross-CTA reuse
-        const rt::NetRun &run = bench::netRun(key);
+        const rt::NetRun &run = **next++;
         std::vector<double> col;
         for (const auto &fig : figLayers) {
             const double m = figStat(run, fig, "mem.l2.misses");
@@ -72,10 +70,10 @@ main(int argc, char **argv)
                      figNets, figLayers, values);
 
     // Headline: AlexNet FC misses vs conv misses.
-    bench::RunKey ak{"alexnet"};
+    rt::JobSpec ak{"alexnet"};
     ak.l1dBytes = 0;
     ak.policy = "mem";
-    const rt::NetRun &alex = bench::netRun(ak);
+    const rt::NetRun &alex = bench::engine().run(ak);
     const double fcM = figStat(alex, "FC", "mem.l2.misses");
     const double convM = figStat(alex, "Conv", "mem.l2.misses");
     std::cout << "Headline: AlexNet FC/conv L2-miss ratio = "

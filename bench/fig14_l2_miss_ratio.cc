@@ -44,21 +44,19 @@ main(int argc, char **argv)
 {
     setVerbose(false);
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : figNets) {
-        bench::RunKey key{net};
+        rt::JobSpec key{net};
         key.l1dBytes = 0;
         key.policy = "mem";
         keys.push_back(key);
     }
-    bench::prefetch(keys);
+    const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);
+    auto next = runs.begin();   // consumed in the order keys were built
 
     std::vector<std::vector<double>> values;
     for (const auto &net : figNets) {
-        bench::RunKey key{net};
-        key.l1dBytes = 0;
-        key.policy = "mem";
-        const rt::NetRun &run = bench::netRun(key);
+        const rt::NetRun &run = **next++;
         std::vector<double> col;
         for (const auto &fig : figLayers) {
             const double acc = figStat(run, fig, "mem.l2.accesses");

@@ -25,26 +25,24 @@ main(int argc, char **argv)
 
     const auto nets = nn::models::allNames();
 
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &net : nets) {
         for (auto sched : scheds) {
-            bench::RunKey key{net};
+            rt::JobSpec key{net};
             key.sched = sched;
-            key.policy = "stall";
+            key.policy = "stall";   // scheduling needs warps to pick from
             keys.push_back(key);
         }
     }
-    bench::prefetch(keys);
+    const std::vector<const rt::NetRun *> runs = bench::engine().runAll(keys);
+    auto next = runs.begin();   // consumed in the order keys were built
 
     std::vector<std::vector<double>> values;   // [net][sched]
     for (const auto &net : nets) {
         double base = 0.0;
         std::vector<double> col;
         for (size_t s = 0; s < scheds.size(); s++) {
-            bench::RunKey key{net};
-            key.sched = scheds[s];
-            key.policy = "stall";   // scheduling needs warps to pick from
-            const rt::NetRun &run = bench::netRun(key);
+            const rt::NetRun &run = **next++;
             if (s == 0)
                 base = run.totalTimeSec;
             col.push_back(base > 0 ? run.totalTimeSec / base : 0.0);

@@ -22,9 +22,9 @@ main(int argc, char **argv)
 
     // Collect per-layer times under each scheduler (one engine job per
     // scheduler, simulated concurrently).
-    std::vector<bench::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (auto s : scheds) {
-        bench::RunKey key{"alexnet"};
+        rt::JobSpec key{"alexnet"};
         key.sched = s;
         key.policy = "stall";
         keys.push_back(key);

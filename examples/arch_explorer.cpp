@@ -38,10 +38,10 @@ main()
 
     // Enumerate the design space as engine keys and simulate them all
     // concurrently.
-    std::vector<rt::RunKey> keys;
+    std::vector<rt::JobSpec> keys;
     for (const auto &[l1Name, l1Bytes] : l1Sizes) {
         for (auto sched : scheds) {
-            rt::RunKey key{"alexnet"};
+            rt::JobSpec key{"alexnet"};
             key.l1dBytes = l1Bytes;
             key.sched = sched;
             keys.push_back(key);

@@ -98,34 +98,33 @@ parse(int argc, char **argv, Options &opt)
     return true;
 }
 
-/** The engine cache key + config for one characterization point. */
-rt::RunKey
-pointKey(const Options &opt, const std::string &name)
+/** The engine job for one characterization point. */
+rt::JobSpec
+pointSpec(const Options &opt, const std::string &name)
 {
-    rt::RunKey key{name};
-    key.platform = opt.platform;
-    key.sched = opt.sched;
-    key.policy = opt.exact ? "exact" : "bench";
-    // Platform-default L1D unless --l1 overrides it.
-    key.l1dBytes = rt::makeConfig(key).l1dBytes;
+    rt::JobSpec spec{name};
+    spec.platform = opt.platform;
+    spec.sched = opt.sched;
+    spec.policy = opt.exact ? "exact" : "bench";
+    // The JobSpec default L1D (64 KB) unless --l1 overrides it.
     if (opt.l1Kb >= 0)
-        key.l1dBytes = static_cast<uint32_t>(opt.l1Kb) * 1024;
-    return key;
+        spec.l1dBytes = static_cast<uint32_t>(opt.l1Kb) * 1024;
+    return spec;
 }
 
 /** Enqueue one network's simulation on the engine. */
 std::shared_future<const rt::NetRun *>
 submitOne(const Options &opt, const std::string &name)
 {
-    const rt::RunKey key = pointKey(opt, name);
+    const rt::JobSpec spec = pointSpec(opt, name);
     if (!opt.quant || name == "gru" || name == "lstm")
-        return rt::Engine::global().submit(key);
+        return rt::Engine::global().submitJob(spec).future;
 
     // Quantized weights are not part of the standard key space: submit
     // a custom job under an extended cache key.
     return rt::Engine::global().submit(
-        key.str() + "+quant", rt::makeConfig(key),
-        [name, policy = key.policy](sim::Gpu &gpu) {
+        spec.cacheKey().str + "+quant", spec.gpuConfig(),
+        [name, policy = spec.policy](sim::Gpu &gpu) {
             nn::AnyModel model = nn::models::buildAny(name);
             nn::initWeights(model);
             nn::quantizeConvWeights(model.cnn());
@@ -138,7 +137,7 @@ void
 characterize(const Options &opt, const std::string &name,
              const rt::NetRun &run)
 {
-    const sim::GpuConfig cfg = rt::makeConfig(pointKey(opt, name));
+    const sim::GpuConfig cfg = pointSpec(opt, name).gpuConfig();
 
     std::cout << "\n##### " << name << " on " << cfg.name
               << " (l1=" << cfg.l1dBytes / 1024

@@ -63,7 +63,7 @@ classify(const std::string &name)
     // Sampled timing simulation for the per-layer profile (prefetched
     // on the engine at program start, so it is already done or in
     // flight by the time we get here).
-    const rt::NetRun &run = rt::Engine::global().run(rt::RunKey{name});
+    const rt::NetRun &run = rt::Engine::global().run(rt::JobSpec{name});
 
     Table t(name + ": simulated per-layer profile (top 8 by time)");
     t.header({"layer", "type", "time (us)", "share"});
@@ -94,8 +94,8 @@ main()
     setVerbose(false);
     // Kick off both simulations before the (serial) CPU reference
     // forward passes; the engine overlaps them with the printing.
-    rt::Engine::global().prefetch({rt::RunKey{"alexnet"},
-                                   rt::RunKey{"squeezenet"}});
+    rt::Engine::global().prefetch({rt::JobSpec{"alexnet"},
+                                   rt::JobSpec{"squeezenet"}});
     classify("alexnet");
     classify("squeezenet");
     std::printf("imagenet_classify: OK\n");

@@ -115,6 +115,13 @@ corpus = {
         run({"net": "gru", "seqLen": 4,
              "runPolicy": {"sim": {"maxCycles": 10}}}),
         "simulation failed"),
+    "l1dBytes 2^32 + 64 KiB": (
+        run({"net": "cifarnet", "l1dBytes": 4295032832}), "bad request"),
+    "shards 2^32 + 8": (
+        run({"net": "gru", "runPolicy": {"sim": {"shards": 4294967304}}}),
+        "bad request"),
+    "l1dBytes as a string": (
+        run({"net": "cifarnet", "l1dBytes": "64K"}), "bad request"),
 }
 corpus["then a real job"] = (run({"net": "gru", "seqLen": 4}), None)
 
@@ -133,6 +140,19 @@ def request(name, payload):
     s.close()
     return reply
 
+# A length prefix past kMaxFrameBytes (64 MiB): the daemon closes the
+# connection without reading a payload or replying; the corpus's real
+# job below must still be served.
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+s.settimeout(30)
+s.sendall(struct.pack(">I", (64 << 20) + 1))
+try:
+    assert s.recv(1) == b"", "oversize length prefix got a reply"
+except ConnectionResetError:
+    pass
+s.close()
+print("hostile frame, oversize length prefix: connection closed")
+
 for name, (payload, error) in corpus.items():
     reply = request(name, payload)
     assert reply["type"] == "result", reply
@@ -144,11 +164,11 @@ for name, (payload, error) in corpus.items():
         assert reply["error"].startswith(error), reply
         print("hostile frame, %s: %s" % (name, reply["error"]))
 
-# Three frames are bad requests and the capped job is one failure;
-# nothing else moved those counters.
+# Six frames are bad requests and the capped job is one failure; the
+# oversize prefix is counted by neither, and nothing else moved them.
 before = json.load(open(sys.argv[2]))["server_stats"]
 after = request("stats", b'{"type":"stats"}')
-assert after["invalid"] == before["invalid"] + 3, (before, after)
+assert after["invalid"] == before["invalid"] + 6, (before, after)
 assert after["failures"] == before["failures"] + 1, (before, after)
 json.dump(after, open(sys.argv[3], "w"))
 EOF

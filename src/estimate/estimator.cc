@@ -137,6 +137,13 @@ Estimator::estimate(const rt::JobSpec &spec, rt::NetRun &run,
     if (spec.functional || spec.profile)
         return fall("needs_simulator",
                     "functional/profile runs need the simulator");
+    // tango-fit sweeps (dataset.cc generate()) run at the JobSpec
+    // default L1D size and scheduler; the models know nothing else.
+    const rt::JobSpec fitted;
+    if (spec.l1dBytes != fitted.l1dBytes || spec.sched != fitted.sched)
+        return fall("config_mismatch",
+                    "the models were fit at the default L1D size and "
+                    "scheduler only");
 
     std::lock_guard<std::mutex> lock(mu_);
     const Entry &entry = load(spec.policy, spec.platform);

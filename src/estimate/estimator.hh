@@ -12,10 +12,11 @@
  * error bounds.
  *
  * estimate() refuses — returning false with a reason, so the caller falls
- * back to memo-replay / full simulation — whenever the models cannot
- * honour the request: inline (unnamed) policy, no bundle fit for the
- * (policy, platform), a layer whose family is unfitted, or a requested
- * error bound tighter than the bound the models actually validated.
+ * back to simulation — whenever the models cannot honour the request:
+ * inline (unnamed) policy, an L1D size or scheduler other than the
+ * defaults the sweep was fit at, no bundle fit for the (policy,
+ * platform), a layer whose family is unfitted, or a requested error
+ * bound tighter than the bound the models actually validated.
  *
  * Bundles load lazily from a weights directory (one JSON file per
  * (policy, platform), see Bundle::fileName) and are cached for the

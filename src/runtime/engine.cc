@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <thread>
-#include <tuple>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -24,7 +23,7 @@ namespace {
 struct EngineMetrics
 {
     metrics::Counter &memHits, &diskHits, &misses, &failures;
-    metrics::Counter &tierSim, &tierReplay, &tierEstimate;
+    metrics::Counter &tierSim, &tierEstimate;
     metrics::Gauge &inflight;
     metrics::Histogram &simWallUs;
 
@@ -35,7 +34,7 @@ struct EngineMetrics
             "Engine cache lookups by result";
         static constexpr const char *kJobs = "tango_engine_jobs_total";
         static constexpr const char *kJobsHelp =
-            "Engine submitJob() calls by requested accuracy tier";
+            "Engine JobSpec jobs by requested accuracy tier";
         static EngineMetrics m{
             metrics::counter(kCache, kCacheHelp, {{"result", "mem_hit"}}),
             metrics::counter(kCache, kCacheHelp, {{"result", "disk_hit"}}),
@@ -44,7 +43,6 @@ struct EngineMetrics
                              "Simulations that threw (evicted so a "
                              "retry re-simulates)"),
             metrics::counter(kJobs, kJobsHelp, {{"tier", "sim"}}),
-            metrics::counter(kJobs, kJobsHelp, {{"tier", "replay"}}),
             metrics::counter(kJobs, kJobsHelp, {{"tier", "estimate"}}),
             metrics::gauge("tango_engine_inflight_sims",
                            "Simulations submitted and not yet finished "
@@ -58,42 +56,6 @@ struct EngineMetrics
 };
 
 } // namespace
-
-// ------------------------------------------------------------------ RunKey
-
-std::string
-RunKey::str() const
-{
-    const std::string l1 =
-        l1dBytes ? std::to_string(l1dBytes / 1024) + "K" : "off";
-    return net + "/" + platform + "/l1=" + l1 + "/" +
-           sim::schedName(sched) + "/" + policy;
-}
-
-bool
-RunKey::operator<(const RunKey &o) const
-{
-    return std::tie(net, platform, l1dBytes, sched, policy) <
-           std::tie(o.net, o.platform, o.l1dBytes, o.sched, o.policy);
-}
-
-bool
-RunKey::operator==(const RunKey &o) const
-{
-    return std::tie(net, platform, l1dBytes, sched, policy) ==
-           std::tie(o.net, o.platform, o.l1dBytes, o.sched, o.policy);
-}
-
-sim::GpuConfig
-makeConfig(const RunKey &key)
-{
-    sim::GpuConfig cfg = key.platform == "GK210" ? sim::keplerGK210()
-                         : key.platform == "TX1" ? sim::maxwellTX1()
-                                                 : sim::pascalGP102();
-    cfg.l1dBytes = key.l1dBytes;
-    cfg.scheduler = key.sched;
-    return cfg;
-}
 
 // ----------------------------------------------------------- EngineOptions
 
@@ -203,65 +165,55 @@ Engine::execute(const std::shared_ptr<Slot> &slot)
     }
 }
 
-std::shared_future<const NetRun *>
-Engine::submitLocked(const std::string &key, const sim::GpuConfig &cfg,
-                     JobFn fn)
+Engine::Submitted
+Engine::admit(const std::string &key, const sim::GpuConfig &cfg, JobFn fn,
+              const JobSpec *spec, unsigned maxInFlight)
 {
+    EngineMetrics &em = EngineMetrics::get();
+    Submitted out;
     auto it = slots_.find(key);
     if (it != slots_.end()) {
         stats_.memHits++;
-        EngineMetrics::get().memHits.inc();
-        return it->second->future;
+        em.memHits.inc();
+        out.served = it->second->result ? Submitted::Served::MemHit
+                                        : Submitted::Served::Joined;
+        out.future = it->second->future;
+        return out;
     }
+
+    auto disk = disk_.find(key);
+    if (disk == disk_.end() && maxInFlight && inflight_ >= maxInFlight)
+        return out;   // Rejected: only new simulations are bounded
 
     auto slot = std::make_shared<Slot>();
     slot->key = key;
     slot->cfg = cfg;
     slot->future = slot->promise.get_future().share();
-
-    auto disk = disk_.find(key);
+    out.future = slot->future;
     if (disk != disk_.end()) {
         // Recalled from the JSON spill: resolve immediately.
         stats_.diskHits++;
-        EngineMetrics::get().diskHits.inc();
+        em.diskHits.inc();
+        out.served = Submitted::Served::DiskHit;
         slot->result = std::make_unique<NetRun>(std::move(disk->second));
         disk_.erase(disk);
         slot->promise.set_value(slot->result.get());
-        auto future = slot->future;
         slots_.emplace(key, std::move(slot));
-        return future;
+        return out;
     }
 
     stats_.misses++;
     inflight_++;
-    EngineMetrics::get().misses.inc();
-    EngineMetrics::get().inflight.add();
-    slot->fn = std::move(fn);
+    em.misses.inc();
+    em.inflight.add();
+    out.served = Submitted::Served::Simulated;
+    if (fn)
+        slot->fn = std::move(fn);
+    else
+        slot->fn = [job = *spec](sim::Gpu &gpu) { return runJob(gpu, job); };
     slots_.emplace(key, slot);
     pool_.submit([this, slot] { execute(slot); });
-    return slot->future;
-}
-
-std::shared_future<const NetRun *>
-Engine::submit(const RunKey &key)
-{
-    // A RunKey is the all-defaults subset of a JobSpec; its str() and
-    // the JobSpec cache key are character-identical (test_job asserts
-    // this), so bench sweeps and serve traffic share one cache.  Keying
-    // goes through cacheKey() — not key.str() — so environment-driven
-    // result changes it encodes (the TANGO_SIM_SHARDS /k=N suffix) can
-    // never alias a differently-sharded entry.
-    JobSpec spec;
-    spec.net = key.net;
-    spec.policy = key.policy;
-    spec.platform = key.platform;
-    spec.l1dBytes = key.l1dBytes;
-    spec.sched = key.sched;
-    const sim::GpuConfig cfg = spec.gpuConfig();
-    std::unique_lock<std::mutex> lock(mu_);
-    return submitLocked(spec.cacheKey().str, cfg, [spec](sim::Gpu &gpu) {
-        return runJob(gpu, spec);
-    });
+    return out;
 }
 
 Engine::Submitted
@@ -274,38 +226,14 @@ Engine::submitJob(const JobSpec &spec, unsigned maxInFlight, JobFn fn)
 
     EngineMetrics &em = EngineMetrics::get();
     std::unique_lock<std::mutex> lock(mu_);
-    switch (job.tier) {
-      case Tier::Sim:      stats_.tierSim++; em.tierSim.inc(); break;
-      case Tier::Replay:   stats_.tierReplay++; em.tierReplay.inc(); break;
-      case Tier::Estimate:
+    if (job.tier == Tier::Estimate) {
         stats_.tierEstimate++;
         em.tierEstimate.inc();
-        break;
+    } else {
+        stats_.tierSim++;
+        em.tierSim.inc();
     }
-    Submitted out;
-    auto it = slots_.find(key);
-    if (it != slots_.end()) {
-        stats_.memHits++;
-        em.memHits.inc();
-        out.served = it->second->result ? Submitted::Served::MemHit
-                                        : Submitted::Served::Joined;
-        out.future = it->second->future;
-        return out;
-    }
-    if (disk_.find(key) != disk_.end()) {
-        out.served = Submitted::Served::DiskHit;
-        out.future = submitLocked(key, cfg, nullptr);
-        return out;
-    }
-    if (maxInFlight && inflight_ >= maxInFlight) {
-        out.served = Submitted::Served::Rejected;
-        return out;
-    }
-    out.served = Submitted::Served::Simulated;
-    if (!fn)
-        fn = [job](sim::Gpu &gpu) { return runJob(gpu, job); };
-    out.future = submitLocked(key, cfg, std::move(fn));
-    return out;
+    return admit(key, cfg, std::move(fn), &job, maxInFlight);
 }
 
 unsigned
@@ -319,13 +247,13 @@ std::shared_future<const NetRun *>
 Engine::submit(const std::string &key, const sim::GpuConfig &cfg, JobFn fn)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    return submitLocked(key, cfg, std::move(fn));
+    return admit(key, cfg, std::move(fn), nullptr, 0).future;
 }
 
 const NetRun &
-Engine::run(const RunKey &key)
+Engine::run(const JobSpec &spec)
 {
-    return *submit(key).get();
+    return *submitJob(spec).future.get();
 }
 
 const NetRun &
@@ -335,21 +263,21 @@ Engine::run(const std::string &key, const sim::GpuConfig &cfg, JobFn fn)
 }
 
 void
-Engine::prefetch(const std::vector<RunKey> &keys)
+Engine::prefetch(const std::vector<JobSpec> &specs)
 {
-    for (const auto &key : keys)
-        submit(key);
+    for (const auto &spec : specs)
+        submitJob(spec);
 }
 
 std::vector<const NetRun *>
-Engine::runAll(const std::vector<RunKey> &keys)
+Engine::runAll(const std::vector<JobSpec> &specs)
 {
     std::vector<std::shared_future<const NetRun *>> futures;
-    futures.reserve(keys.size());
-    for (const auto &key : keys)
-        futures.push_back(submit(key));
+    futures.reserve(specs.size());
+    for (const auto &spec : specs)
+        futures.push_back(submitJob(spec).future);
     std::vector<const NetRun *> out;
-    out.reserve(keys.size());
+    out.reserve(specs.size());
     for (auto &f : futures)
         out.push_back(f.get());
     return out;
@@ -395,10 +323,9 @@ Engine::logCacheStats()
            s.misses == 1 ? "" : "es",
            static_cast<unsigned long long>(s.failures),
            s.failures == 1 ? "" : "s");
-    if (s.tierSim + s.tierReplay + s.tierEstimate > 0) {
-        inform("engine: tiers %llu sim, %llu replay, %llu estimate",
+    if (s.tierSim + s.tierEstimate > 0) {
+        inform("engine: tiers %llu sim, %llu estimate",
                static_cast<unsigned long long>(s.tierSim),
-               static_cast<unsigned long long>(s.tierReplay),
                static_cast<unsigned long long>(s.tierEstimate));
     }
 }

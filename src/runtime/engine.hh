@@ -38,30 +38,6 @@ class Gpu;
 
 namespace tango::rt {
 
-/**
- * One standard simulation point: which network, on which platform,
- * with which L1D size, warp scheduler, and named RunPolicy.
- * This is the Engine's cache key for named-network jobs.
- */
-struct RunKey
-{
-    std::string net;
-    std::string platform = "GP102";    // GP102 | GK210 | TX1
-    uint32_t l1dBytes = 64 * 1024;     // 0 = bypassed
-    sim::SchedPolicy sched = sim::SchedPolicy::GTO;
-    std::string policy = "bench";      // RunPolicy::named() name
-
-    /** Human-readable (and disk-cache) form, e.g.
-     *  "alexnet/GP102/l1=64K/gto/bench". */
-    std::string str() const;
-
-    bool operator<(const RunKey &o) const;
-    bool operator==(const RunKey &o) const;
-};
-
-/** @return the GpuConfig a RunKey describes. */
-sim::GpuConfig makeConfig(const RunKey &key);
-
 /** Engine construction knobs. */
 struct EngineOptions
 {
@@ -87,9 +63,11 @@ struct EngineOptions
 /**
  * A job-based parallel simulation engine with a keyed result cache.
  *
- * Standard jobs are RunKeys; arbitrary sweeps (quantized weights,
- * custom policies) submit a JobFn under an explicit cache key.  submit()
- * returns a shared future immediately; run() blocks.  Results live for
+ * Standard jobs are JobSpecs, keyed by JobSpec::cacheKey(); arbitrary
+ * sweeps (quantized weights, custom models) submit a JobFn under an
+ * explicit cache key.  Both are admitted by one path, so they share the
+ * cache, the in-flight dedup and the counters.  submitJob()/submit()
+ * return a shared future immediately; run() blocks.  Results live for
  * the Engine's lifetime and are returned by reference — repeated run()
  * calls with the same key return the same object.
  *
@@ -111,9 +89,6 @@ class Engine
 
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
-
-    /** Enqueue a standard simulation point (no-op if cached). */
-    std::shared_future<const NetRun *> submit(const RunKey &key);
 
     /** How a submitJob() was satisfied.  The slot map doubles as an
      *  in-flight dedup table: a job whose key is already being
@@ -158,19 +133,19 @@ class Engine
                                               const sim::GpuConfig &cfg,
                                               JobFn fn);
 
-    /** Run (or recall) a standard simulation point; blocks. */
-    const NetRun &run(const RunKey &key);
+    /** Run (or recall) a standard job; blocks. */
+    const NetRun &run(const JobSpec &spec);
 
     /** Run (or recall) a custom job; blocks. */
     const NetRun &run(const std::string &key, const sim::GpuConfig &cfg,
                       JobFn fn);
 
-    /** Submit every key so the pool simulates them concurrently.
+    /** Submit every spec so the pool simulates them concurrently.
      *  Subsequent run() calls then only wait, never simulate. */
-    void prefetch(const std::vector<RunKey> &keys);
+    void prefetch(const std::vector<JobSpec> &specs);
 
     /** prefetch() + collect, in input order; blocks for all. */
-    std::vector<const NetRun *> runAll(const std::vector<RunKey> &keys);
+    std::vector<const NetRun *> runAll(const std::vector<JobSpec> &specs);
 
     /** Write the disk spill now (also done by the destructor). */
     void flush();
@@ -185,10 +160,8 @@ class Engine
         uint64_t diskHits = 0;   ///< recalled from the JSON spill
         uint64_t misses = 0;     ///< actually simulated
         uint64_t failures = 0;   ///< jobs that threw
-        // Per-tier submitJob() counts (JobSpec::tier; all zero when the
-        // engine only saw legacy RunKey / custom-fn traffic).
+        // Per-tier JobSpec counts (custom-key jobs have no tier).
         uint64_t tierSim = 0;
-        uint64_t tierReplay = 0;
         uint64_t tierEstimate = 0;
     };
     CacheStats cacheStats() const;
@@ -205,9 +178,12 @@ class Engine
   private:
     struct Slot;
 
-    std::shared_future<const NetRun *>
-    submitLocked(const std::string &key, const sim::GpuConfig &cfg,
-                 JobFn fn);
+    /** The one admission path (caller holds mu_): join a resident or
+     *  in-flight slot, recall from the spill, or start @p fn — or, when
+     *  @p fn is empty, runJob() on @p spec — unless @p maxInFlight
+     *  simulations are already running. */
+    Submitted admit(const std::string &key, const sim::GpuConfig &cfg,
+                    JobFn fn, const JobSpec *spec, unsigned maxInFlight);
     void execute(const std::shared_ptr<Slot> &slot);
     sim::Gpu &workerGpu(const sim::GpuConfig &cfg);
 

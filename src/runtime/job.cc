@@ -1,8 +1,11 @@
 #include "runtime/job.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -58,36 +61,119 @@ appendRunPolicy(std::string &out, const RunPolicy &p)
     o.close();
 }
 
+/**
+ * Read the member @p key of object @p obj into @p out, if present.  The
+ * member must have @p out's JSON type, and an integer must be a whole
+ * number @p out holds exactly: a wrong type, a negative or fractional
+ * value or an overflow throws, naming the field, instead of silently
+ * falling back to the default or truncating.
+ */
+template <class T>
+void
+readField(const Reader::Value &obj, const char *key, T &out)
+{
+    const Reader::Value *v = obj.find(key);
+    if (!v)
+        return;
+    if constexpr (std::is_same_v<T, bool>) {
+        if (v->kind != Reader::Value::Kind::Bool)
+            throw std::runtime_error(std::string("'") + key +
+                                     "' must be true or false");
+        out = v->b;
+    } else if constexpr (std::is_integral_v<T>) {
+        // max() + 1.0 is exact (a power of two) for every unsigned T.
+        const double limit = double(std::numeric_limits<T>::max()) + 1.0;
+        if (v->kind != Reader::Value::Kind::Num || v->num < 0.0 ||
+            v->num >= limit || v->num != std::floor(v->num))
+            throw std::runtime_error(
+                std::string("'") + key + "' must be an integer in [0, " +
+                std::to_string(std::numeric_limits<T>::max()) + "]");
+        out = static_cast<T>(v->num);
+    } else {
+        if (v->kind != Reader::Value::Kind::Num)
+            throw std::runtime_error(std::string("'") + key +
+                                     "' must be a number");
+        out = static_cast<T>(v->num);
+    }
+}
+
 RunPolicy
 parseRunPolicy(const Reader::Value &v)
 {
     RunPolicy p;
     if (const Reader::Value *s = v.find("sim")) {
-        p.sim.maxResidentCtas =
-            static_cast<uint32_t>(s->u64Or("maxResidentCtas",
-                                           p.sim.maxResidentCtas));
-        p.sim.maxResidentWarps =
-            static_cast<uint32_t>(s->u64Or("maxResidentWarps",
-                                           p.sim.maxResidentWarps));
-        p.sim.maxSampledCtas = s->u64Or("maxSampledCtas",
-                                        p.sim.maxSampledCtas);
-        p.sim.fullSim = s->boolOr("fullSim", p.sim.fullSim);
-        p.sim.maxWarpsPerCta =
-            static_cast<uint32_t>(s->u64Or("maxWarpsPerCta",
-                                           p.sim.maxWarpsPerCta));
-        p.sim.maxCycles = s->u64Or("maxCycles", p.sim.maxCycles);
-        p.sim.memoize = s->boolOr("memoize", p.sim.memoize);
-        p.sim.profile = s->boolOr("profile", p.sim.profile);
-        p.sim.shards =
-            static_cast<uint32_t>(s->u64Or("shards", p.sim.shards));
+        if (s->kind != Reader::Value::Kind::Obj)
+            throw std::runtime_error("'runPolicy.sim' must be an object");
+        readField(*s, "maxResidentCtas", p.sim.maxResidentCtas);
+        readField(*s, "maxResidentWarps", p.sim.maxResidentWarps);
+        readField(*s, "maxSampledCtas", p.sim.maxSampledCtas);
+        readField(*s, "fullSim", p.sim.fullSim);
+        readField(*s, "maxWarpsPerCta", p.sim.maxWarpsPerCta);
+        readField(*s, "maxCycles", p.sim.maxCycles);
+        readField(*s, "memoize", p.sim.memoize);
+        readField(*s, "profile", p.sim.profile);
+        readField(*s, "shards", p.sim.shards);
     }
-    p.functional = v.boolOr("functional", p.functional);
-    p.check = v.boolOr("check", p.check);
-    p.tolerance = static_cast<float>(v.numOr("tolerance", p.tolerance));
-    p.maxLoopChannels =
-        static_cast<uint32_t>(v.u64Or("maxLoopChannels",
-                                      p.maxLoopChannels));
+    readField(v, "functional", p.functional);
+    readField(v, "check", p.check);
+    readField(v, "tolerance", p.tolerance);
+    readField(v, "maxLoopChannels", p.maxLoopChannels);
     return p;
+}
+
+/** JobSpec::fromValue()'s body: throws std::runtime_error with the
+ *  reason on any malformed field. */
+JobSpec
+parseJobSpec(const Reader::Value &v)
+{
+    using Kind = Reader::Value::Kind;
+    if (v.kind != Kind::Obj)
+        throw std::runtime_error("job spec must be a JSON object");
+
+    JobSpec spec;
+    spec.net = v.strOr("net");
+    if (spec.net.empty())
+        throw std::runtime_error("missing required field 'net'");
+
+    const Reader::Value *inlinePol = v.find("runPolicy");
+    const Reader::Value *named = v.find("policy");
+    if (inlinePol && named)
+        throw std::runtime_error(
+            "'policy' and 'runPolicy' are mutually exclusive");
+    if (inlinePol) {
+        if (inlinePol->kind != Kind::Obj)
+            throw std::runtime_error("'runPolicy' must be an object");
+        spec.hasInlinePolicy = true;
+        spec.inlinePolicy = parseRunPolicy(*inlinePol);
+    } else if (named) {
+        if (named->kind != Kind::Str)
+            throw std::runtime_error("'policy' must be a string");
+        spec.policy = named->str;
+    }
+
+    if (const Reader::Value *p = v.find("platform")) {
+        if (p->kind != Kind::Str)
+            throw std::runtime_error("'platform' must be a string");
+        spec.platform = p->str;
+    }
+    readField(v, "l1dBytes", spec.l1dBytes);
+    if (const Reader::Value *s = v.find("sched")) {
+        if (s->kind != Kind::Str || !sim::schedFromName(s->str, spec.sched))
+            throw std::runtime_error("unknown scheduler '" +
+                                     v.strOr("sched") +
+                                     "' (known: gto, lrr, tlv)");
+    }
+    readField(v, "seqLen", spec.seqLen);
+    if (const Reader::Value *t = v.find("tier")) {
+        if (t->kind != Kind::Str || !tierFromName(t->str, spec.tier))
+            throw std::runtime_error("unknown tier '" + t->str +
+                                     "' (known: sim, estimate)");
+    }
+    readField(v, "maxRelErr", spec.maxRelErr);
+    readField(v, "functional", spec.functional);
+    readField(v, "profile", spec.profile);
+    readField(v, "trace", spec.trace);
+    return spec;
 }
 
 /** Content digest of an inline policy's canonical JSON, as 16 hex
@@ -114,7 +200,6 @@ tierName(Tier t)
 {
     switch (t) {
       case Tier::Sim:      return "sim";
-      case Tier::Replay:   return "replay";
       case Tier::Estimate: return "estimate";
     }
     panic("bad tier %d", static_cast<int>(t));
@@ -123,10 +208,8 @@ tierName(Tier t)
 bool
 tierFromName(const std::string &name, Tier &out)
 {
-    if (name == "sim")
+    if (name == "sim" || name == "replay")
         out = Tier::Sim;
-    else if (name == "replay")
-        out = Tier::Replay;
     else if (name == "estimate")
         out = Tier::Estimate;
     else
@@ -178,10 +261,6 @@ JobSpec::resolvedPolicy() const
         hasInlinePolicy ? inlinePolicy : RunPolicy::named(policy);
     p.functional |= functional;
     p.sim.profile |= profile;
-    // Replay tier IS the policy with launch memoization forced on; an
-    // estimate-tier job that falls back to simulation gets the same.
-    if (tier != Tier::Sim)
-        p.sim.memoize = true;
     return p;
 }
 
@@ -206,11 +285,12 @@ JobSpec::cacheKey() const
                       (hasInlinePolicy ? inlinePolicyTag(inlinePolicy)
                                        : policy);
     // Normalize the extras away when they are defaults, so a JobSpec
-    // that says nothing beyond net x policy x platform keys exactly
-    // like the legacy RunKey ("alexnet/GP102/l1=64K/gto/bench") and the
-    // serve daemon, the bench binaries and the CLI tools all share one
-    // cache entry.  The trace flag never participates: tracing observes
-    // a run, it does not change what is simulated.
+    // that says nothing beyond net x policy x platform keys as
+    // "alexnet/GP102/l1=64K/gto/bench" and the serve daemon, the bench
+    // binaries and the CLI tools all share one cache entry.  These
+    // strings also key the disk spill: never change their format.  The
+    // trace flag never participates: tracing observes a run, it does
+    // not change what is simulated.
     const uint32_t seq =
         isRnnNet(net) && seqLen != nn::models::kDefaultRnnSeqLen ? seqLen
                                                                  : 0;
@@ -223,8 +303,7 @@ JobSpec::cacheKey() const
     // Intra-run sharding changes the simulated statistics (see
     // SimPolicy::shards), so shard counts > 1 must not collide with the
     // K=1 entries — in memory or in a disk spill shared across processes
-    // with different TANGO_SIM_SHARDS.  K=1 stays suffix-free so the base
-    // form remains character-identical to RunKey::str().
+    // with different TANGO_SIM_SHARDS.  K=1 stays suffix-free.
     const uint32_t k = sim::effectiveShards(resolvedPolicy().sim);
     if (k > 1)
         key += "/k=" + std::to_string(k);
@@ -272,74 +351,27 @@ JobSpec::toJson() const
 bool
 JobSpec::fromJson(const std::string &text, JobSpec &out, std::string *err)
 {
-    Reader::Value v;
     try {
-        v = Reader(text).parse();
+        out = parseJobSpec(Reader(text).parse());
+        return true;
     } catch (const std::exception &e) {
         if (err)
             *err = e.what();
         return false;
     }
-    return fromValue(v, out, err);
 }
 
 bool
 JobSpec::fromValue(const Reader::Value &v, JobSpec &out, std::string *err)
 {
-    const auto fail = [&](const std::string &why) {
+    try {
+        out = parseJobSpec(v);
+        return true;
+    } catch (const std::exception &e) {
         if (err)
-            *err = why;
+            *err = e.what();
         return false;
-    };
-    if (v.kind != Reader::Value::Kind::Obj)
-        return fail("job spec must be a JSON object");
-
-    JobSpec spec;
-    spec.net = v.strOr("net");
-    if (spec.net.empty())
-        return fail("missing required field 'net'");
-
-    const Reader::Value *inlinePol = v.find("runPolicy");
-    const Reader::Value *named = v.find("policy");
-    if (inlinePol && named)
-        return fail("'policy' and 'runPolicy' are mutually exclusive");
-    if (inlinePol) {
-        if (inlinePol->kind != Reader::Value::Kind::Obj)
-            return fail("'runPolicy' must be an object");
-        spec.hasInlinePolicy = true;
-        spec.inlinePolicy = parseRunPolicy(*inlinePol);
-    } else if (named) {
-        if (named->kind != Reader::Value::Kind::Str)
-            return fail("'policy' must be a string");
-        spec.policy = named->str;
     }
-
-    if (const Reader::Value *p = v.find("platform")) {
-        if (p->kind != Reader::Value::Kind::Str)
-            return fail("'platform' must be a string");
-        spec.platform = p->str;
-    }
-    spec.l1dBytes = static_cast<uint32_t>(v.u64Or("l1dBytes",
-                                                  spec.l1dBytes));
-    if (const Reader::Value *s = v.find("sched")) {
-        if (s->kind != Reader::Value::Kind::Str ||
-            !sim::schedFromName(s->str, spec.sched))
-            return fail("unknown scheduler '" + s->strOr("sched") +
-                        "' (known: gto, lrr, tlv)");
-    }
-    spec.seqLen = static_cast<uint32_t>(v.u64Or("seqLen", 0));
-    if (const Reader::Value *t = v.find("tier")) {
-        if (t->kind != Reader::Value::Kind::Str ||
-            !tierFromName(t->str, spec.tier))
-            return fail("unknown tier '" + t->str +
-                        "' (known: sim, replay, estimate)");
-    }
-    spec.maxRelErr = v.numOr("maxRelErr", 0.0);
-    spec.functional = v.boolOr("functional", false);
-    spec.profile = v.boolOr("profile", false);
-    spec.trace = v.boolOr("trace", false);
-    out = std::move(spec);
-    return true;
 }
 
 // ---------------------------------------------------------------- JobResult

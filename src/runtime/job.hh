@@ -3,19 +3,17 @@
  * rt::JobSpec — THE single description of one simulation job, and
  * rt::JobResult — the answer a job produces.
  *
- * Every entry point used to assemble net x policy x platform arguments
- * its own way (tango-run's Options struct, tango-trace's, the bench
- * binaries' RunKey tuples, ad-hoc gru/lstm special cases).  JobSpec
- * replaces all of that with one value type that is simultaneously:
+ * One value type describes a point of the evaluation grid (network x
+ * platform x L1D size x warp scheduler x policy) everywhere:
  *
  *  - the parse target of the CLI tools (tools/cli_common),
+ *  - the jobs of the bench binaries and examples (rt::JobSpec{net}),
  *  - the wire format of the tango-serve daemon (serve/protocol), via
  *    canonical JSON (de)serialization,
  *  - the cache-key source of the rt::Engine run cache (rt::CacheKey):
  *    two JobSpecs that describe the same simulation produce the same
- *    key, no matter how their JSON fields were ordered, and a JobSpec
- *    with all-default extras keys identically to the legacy RunKey so
- *    serve traffic and bench sweeps share one cache.
+ *    key, no matter how their JSON fields were ordered, so serve
+ *    traffic, bench sweeps and the disk spill share one cache.
  *
  * A JobSpec names either a registered RunPolicy ("bench", "mem", ...)
  * or carries a full inline RunPolicy for custom sweeps; inline policies
@@ -34,28 +32,26 @@
 namespace tango::rt {
 
 /**
- * Accuracy tier of one job — how much fidelity the caller is paying for.
- * Higher tiers answer faster by giving up cycle-level guarantees:
- *  - Sim: full cycle-level simulation (the default; the only tier whose
- *    results are bit-exact against the golden fixtures).
- *  - Replay: cycle-level simulation with launch memoization forced on —
- *    repeated identical launches replay their steady-state statistics.
+ * Accuracy tier of one job — how much fidelity the caller is paying for:
+ *  - Sim: full cycle-level simulation (the default; bit-exact against
+ *    the golden fixtures).  Launch memoization (SimPolicy::memoize, on
+ *    by default) replays repeated launches with identical statistics.
  *  - Estimate: no simulation at all; the fitted per-kernel-family models
  *    (estimate/estimator.hh) answer from layer shapes alone, with the
- *    bundle's validated error bounds attached.  Falls back to Replay
- *    semantics when the models cannot honour the request.
+ *    bundle's validated error bounds attached.  Falls back to simulation
+ *    when the models cannot honour the request.
  */
 enum class Tier : uint8_t
 {
     Sim,
-    Replay,
     Estimate
 };
 
-/** @return the tier's wire name: "sim" | "replay" | "estimate". */
+/** @return the tier's wire name: "sim" | "estimate". */
 const char *tierName(Tier t);
 
-/** Parse a wire name; @return false on an unknown name. */
+/** Parse a wire name; @return false on an unknown name.  "replay"
+ *  parses as Tier::Sim, so clients that still send it keep working. */
 bool tierFromName(const std::string &name, Tier &out);
 
 /**
@@ -87,7 +83,7 @@ struct JobSpec
     /** Carry a full RunPolicy instead of a registry name (custom
      *  sweeps).  Serialized as "runPolicy" on the wire. */
     bool hasInlinePolicy = false;
-    RunPolicy inlinePolicy;
+    RunPolicy inlinePolicy{};
 
     /** Platform: GP102 | GK210 | TX1. */
     std::string platform = "GP102";
@@ -135,7 +131,7 @@ struct JobSpec
 
     /** Canonical cache key.  Defaults are normalized away (a CNN's
      *  seqLen, an RNN's explicit default seqLen) so equivalent specs
-     *  collide; the base form matches RunKey::str() exactly. */
+     *  collide; the base form is "net/platform/l1=64K/gto/policy". */
     CacheKey cacheKey() const;
 
     /** Canonical JSON (fixed field order; inline policies serialized in
@@ -144,8 +140,11 @@ struct JobSpec
 
     /**
      * Parse a JobSpec from JSON in any field order; unknown fields are
-     * ignored (forward compatibility).  Parsing does NOT validate() —
-     * a syntactically well-formed spec for an unknown net parses fine.
+     * ignored (forward compatibility).  A known field must have its
+     * type, and an integer field must hold an integer its C++ field
+     * can represent exactly — nothing is coerced or defaulted.
+     * Parsing does NOT validate() — a syntactically well-formed spec
+     * for an unknown net parses fine.
      * @return false (out untouched) on malformed JSON or field types,
      *         with a reason in @p err if given.
      */

@@ -2,7 +2,8 @@
  * @file
  * On-disk spill of simulation results (rt::Engine's persistent cache).
  *
- * A cache file is a single JSON document mapping RunKey strings to fully
+ * A cache file is a single JSON document mapping Engine cache keys
+ * (JobSpec::cacheKey() strings, or a custom job's explicit key) to fully
  * serialized NetRun records.  Doubles are written with 17 significant
  * digits so every statistic round-trips bit-exactly — a NetRun recalled
  * from disk is indistinguishable from one the simulator just produced.

@@ -30,7 +30,7 @@ struct ServeMetrics
     metrics::Counter &requests, &invalid, &runRequests, &failures;
     metrics::Counter &rejectQueueFull, &rejectDraining;
     metrics::Counter &servedSim, &servedJoin, &servedMem, &servedDisk;
-    metrics::Counter &tierSim, &tierReplay, &tierEstimate;
+    metrics::Counter &tierSim, &tierEstimate;
     metrics::Histogram &latencyUs;
 
     static ServeMetrics &get()
@@ -60,7 +60,6 @@ struct ServeMetrics
             metrics::counter(kSrv, kSrvHelp, {{"how", "mem"}}),
             metrics::counter(kSrv, kSrvHelp, {{"how", "disk"}}),
             metrics::counter(kTier, kTierHelp, {{"tier", "sim"}}),
-            metrics::counter(kTier, kTierHelp, {{"tier", "replay"}}),
             metrics::counter(kTier, kTierHelp, {{"tier", "estimate"}}),
             metrics::histogram("tango_serve_latency_us",
                                "End-to-end latency of admitted run "
@@ -372,7 +371,6 @@ Server::handleRun(const Request &req)
     }
     switch (req.job.tier) {
     case rt::Tier::Sim: sm.tierSim.inc(); break;
-    case rt::Tier::Replay: sm.tierReplay.inc(); break;
     case rt::Tier::Estimate: sm.tierEstimate.inc(); break;
     }
     {
@@ -386,7 +384,6 @@ Server::handleRun(const Request &req)
         }
         switch (req.job.tier) {
         case rt::Tier::Sim: metrics_.tierSim++; break;
-        case rt::Tier::Replay: metrics_.tierReplay++; break;
         case rt::Tier::Estimate: metrics_.tierEstimate++; break;
         }
     }
@@ -477,7 +474,6 @@ Server::statsJson() const
     o.u64("served_disk", m.servedDisk);
     o.u64("failures", m.failures);
     o.u64("tier_sim", m.tierSim);
-    o.u64("tier_replay", m.tierReplay);
     o.u64("tier_estimate", m.tierEstimate);
     o.u64("cache_mem_hits", cache.memHits);
     o.u64("cache_disk_hits", cache.diskHits);

@@ -116,7 +116,6 @@ class Server
         uint64_t failures = 0;          ///< simulations that threw
         // Admitted run requests by requested tier (JobSpec::tier).
         uint64_t tierSim = 0;
-        uint64_t tierReplay = 0;
         uint64_t tierEstimate = 0;
     };
     Metrics metrics() const;

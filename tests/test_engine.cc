@@ -26,7 +26,7 @@ namespace {
 
 using rt::Engine;
 using rt::EngineOptions;
-using rt::RunKey;
+using rt::JobSpec;
 
 Engine
 makeEngine(unsigned threads, const std::string &cachePath = "")
@@ -84,7 +84,7 @@ TEST(Engine, ParallelRunsAreBitIdenticalToSerial)
     // One CNN and one RNN, each simulated by a 1-worker and a 4-worker
     // engine alongside enough sibling jobs to actually exercise the
     // pool's interleaving.
-    const std::vector<RunKey> keys = {
+    const std::vector<JobSpec> keys = {
         {"cifarnet"}, {"gru"}, {"lstm"}, {"squeezenet"}};
 
     Engine serial = makeEngine(1);
@@ -96,7 +96,7 @@ TEST(Engine, ParallelRunsAreBitIdenticalToSerial)
     const auto parallelRuns = parallel.runAll(keys);
     ASSERT_EQ(serialRuns.size(), parallelRuns.size());
     for (size_t i = 0; i < keys.size(); i++) {
-        SCOPED_TRACE(keys[i].str());
+        SCOPED_TRACE(keys[i].cacheKey().str);
         expectIdentical(*serialRuns[i], *parallelRuns[i]);
     }
     expectCacheAccounted(serial, keys.size());
@@ -106,7 +106,7 @@ TEST(Engine, ParallelRunsAreBitIdenticalToSerial)
 TEST(Engine, CacheHitReturnsTheSameObject)
 {
     Engine e = makeEngine(2);
-    const RunKey key{"cifarnet"};
+    const JobSpec key{"cifarnet"};
     const rt::NetRun &first = e.run(key);
     const rt::NetRun &second = e.run(key);
     EXPECT_EQ(&first, &second);
@@ -119,21 +119,23 @@ TEST(Engine, CacheHitReturnsTheSameObject)
 
 TEST(Engine, RunKeyOrderingAndNames)
 {
-    RunKey a{"alexnet"};
-    RunKey b{"alexnet"};
-    EXPECT_EQ(a, b);
-    EXPECT_FALSE(a < b);
-    EXPECT_FALSE(b < a);
+    // The Engine keys its cache by JobSpec::cacheKey(): equal specs share
+    // one key, and any field of the base form changes it.
+    JobSpec a{"alexnet"};
+    JobSpec b{"alexnet"};
+    EXPECT_EQ(a.cacheKey(), b.cacheKey());
+    EXPECT_FALSE(a.cacheKey() < b.cacheKey());
+    EXPECT_FALSE(b.cacheKey() < a.cacheKey());
 
     b.l1dBytes = 128 * 1024;
-    EXPECT_TRUE(a < b || b < a);
-    EXPECT_FALSE(a == b);
+    EXPECT_TRUE(a.cacheKey() < b.cacheKey() || b.cacheKey() < a.cacheKey());
+    EXPECT_FALSE(a.cacheKey() == b.cacheKey());
 
-    EXPECT_EQ(a.str(), "alexnet/GP102/l1=64K/gto/bench");
-    RunKey noL1{"vggnet"};
+    EXPECT_EQ(a.cacheKey().str, "alexnet/GP102/l1=64K/gto/bench");
+    JobSpec noL1{"vggnet"};
     noL1.l1dBytes = 0;
     noL1.policy = "mem";
-    EXPECT_EQ(noL1.str(), "vggnet/GP102/l1=off/gto/mem");
+    EXPECT_EQ(noL1.cacheKey().str, "vggnet/GP102/l1=off/gto/mem");
 }
 
 TEST(Engine, ThrowingJobDoesNotPoisonThePool)
@@ -156,7 +158,7 @@ TEST(Engine, ThrowingJobDoesNotPoisonThePool)
     EXPECT_GT(retried.totalTimeSec, 0.0);
 
     // ...and unrelated jobs keep flowing through the same workers.
-    const rt::NetRun &after = e.run(RunKey{"gru"});
+    const rt::NetRun &after = e.run(JobSpec{"gru"});
     EXPECT_GT(after.totalTimeSec, 0.0);
 
     // Three submissions (boom, retry, gru), each a miss; the failed one
@@ -173,12 +175,12 @@ TEST(Engine, DiskSpillRoundTrips)
     rt::NetRun fresh;
     {
         Engine writer = makeEngine(2, path);
-        fresh = writer.run(RunKey{"cifarnet"});
+        fresh = writer.run(JobSpec{"cifarnet"});
         EXPECT_EQ(writer.cacheStats().misses, 1u);
     }   // destructor flushes the spill
 
     Engine reader = makeEngine(2, path);
-    const rt::NetRun &recalled = reader.run(RunKey{"cifarnet"});
+    const rt::NetRun &recalled = reader.run(JobSpec{"cifarnet"});
     EXPECT_EQ(reader.cacheStats().diskHits, 1u);
     EXPECT_EQ(reader.cacheStats().misses, 0u);
     expectIdentical(fresh, recalled);
@@ -309,7 +311,7 @@ TEST(Engine, CacheCapBoundsTheSpillFile)
     {
         Engine writer{std::move(opt)};
         testing::internal::CaptureStderr();
-        writer.run(RunKey{"cifarnet"});
+        writer.run(JobSpec{"cifarnet"});
         writer.flush();
         EXPECT_NE(testing::internal::GetCapturedStderr().find("size cap"),
                   std::string::npos);
@@ -318,7 +320,7 @@ TEST(Engine, CacheCapBoundsTheSpillFile)
 
     // The capped spill recalls nothing: the entry is re-simulated.
     Engine reader = makeEngine(2, path);
-    reader.run(RunKey{"cifarnet"});
+    reader.run(JobSpec{"cifarnet"});
     EXPECT_EQ(reader.cacheStats().diskHits, 0u);
     EXPECT_EQ(reader.cacheStats().misses, 1u);
 

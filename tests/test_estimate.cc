@@ -413,6 +413,60 @@ TEST(Estimate, EstimatorFallbackReasons)
     EXPECT_FALSE(est.estimate(inl, run, &reason));
 }
 
+// The fitted sweeps run at the JobSpec default L1D size and scheduler.
+// Every other point of the Fig 2 (L1D size) x Fig 15 (scheduler) grid is
+// refused by the models and answered by simulation, bit for bit the
+// sim-tier answer.
+TEST(Estimate, EstimatorRefusesConfigsItWasNeverFitOn)
+{
+    const std::string dir = ::testing::TempDir();
+    writeSuiteBundle(dir);
+    estimate::Estimator est(dir);
+
+    rt::EngineOptions opt;
+    opt.threads = 2;
+    rt::Engine engine(opt);
+
+    const rt::JobSpec defaults;
+    std::vector<std::pair<rt::JobSpec, rt::JobSpec>> fallbacks;
+    for (const uint32_t l1d : {0u, 64u * 1024, 128u * 1024, 256u * 1024}) {
+        for (const sim::SchedPolicy sched :
+             {sim::SchedPolicy::GTO, sim::SchedPolicy::LRR,
+              sim::SchedPolicy::TLV}) {
+            rt::JobSpec simJob{"cifarnet"};
+            simJob.l1dBytes = l1d;
+            simJob.sched = sched;
+            rt::JobSpec estJob = simJob;
+            estJob.tier = rt::Tier::Estimate;
+            SCOPED_TRACE(estJob.cacheKey().str);
+
+            rt::NetRun run;
+            std::string reason;
+            const bool fitted =
+                l1d == defaults.l1dBytes && sched == defaults.sched;
+            EXPECT_EQ(est.estimate(estJob, run, &reason), fitted)
+                << reason;
+            EXPECT_EQ(run.estimated, fitted);
+            if (fitted)
+                continue;
+            EXPECT_NE(reason.find("default L1D size and scheduler"),
+                      std::string::npos)
+                << reason;
+            engine.submitJob(simJob);
+            engine.submitJob(estJob);
+            fallbacks.emplace_back(simJob, estJob);
+        }
+    }
+    ASSERT_EQ(fallbacks.size(), 11u);
+    for (const auto &[simJob, estJob] : fallbacks) {
+        SCOPED_TRACE(estJob.cacheKey().str);
+        const rt::NetRun &simRun = engine.run(simJob);
+        const rt::NetRun &estRun = engine.run(estJob);
+        EXPECT_FALSE(estRun.estimated);
+        EXPECT_EQ(rt::serializeNetRun(estRun), rt::serializeNetRun(simRun));
+    }
+}
+
 // ----------------------------------------------- estimated-run NetRun JSON
 
 TEST(Estimate, EstimatedNetRunSerialization)
@@ -478,7 +532,6 @@ TEST(Estimate, EstimateTierNeverSharesSimCache)
     const rt::Engine::CacheStats stats = engine.cacheStats();
     EXPECT_EQ(stats.tierSim, 2u);
     EXPECT_EQ(stats.tierEstimate, 2u);
-    EXPECT_EQ(stats.tierReplay, 0u);
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.memHits, 2u);
 }

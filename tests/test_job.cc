@@ -1,9 +1,10 @@
 /**
  * @file
  * rt::JobSpec / rt::JobResult unit tests: JSON round trips, cache-key
- * canonicalization (field order, default normalization, RunKey
- * equivalence — the property that lets serve traffic and bench sweeps
- * share one Engine cache), inline-policy content keying, and the strict
+ * canonicalization (field order, default normalization, the pinned key
+ * format that lets serve traffic, bench sweeps and old disk spills
+ * share one Engine cache), strict field types, inline-policy content
+ * keying, and the strict
  * envUint() parsing behind EngineOptions::fromEnv(), and the one-pass
  * NetRun decoder (rt::readNetRun) behind results, spills and goldens.
  */
@@ -102,6 +103,97 @@ TEST(Job, SpecFromJsonRejectsGarbage)
         << "policy and runPolicy are mutually exclusive";
 }
 
+TEST(Job, SpecFromJsonRejectsCoercedFields)
+{
+    // Every typed field of a spec and of an inline policy: a wrong
+    // type, a negative, fractional or too-large number is a parse
+    // error naming the field — never a silent default or truncation.
+    const struct
+    {
+        const char *field;
+        const char *json;   ///< the spec, with %s for the field's value
+        const char *good;   ///< a value that parses
+        std::vector<const char *> bad;
+    } cases[] = {
+        {"l1dBytes", R"({"net":"cifarnet","l1dBytes":%s})", "0",
+         {"4295032832", R"("0")", R"("64K")", "-1", "1.5", "true"}},
+        {"seqLen", R"({"net":"gru","seqLen":%s})", "4294967295",
+         {"4294967297", R"("8")", "-8", "8.5", "null"}},
+        {"maxRelErr", R"({"net":"gru","tier":"estimate","maxRelErr":%s})",
+         "0.1", {R"("0.1")", "false"}},
+        {"functional", R"({"net":"gru","functional":%s})", "true",
+         {"1", R"("true")", "null"}},
+        {"profile", R"({"net":"gru","profile":%s})", "false",
+         {"0", R"("no")"}},
+        {"trace", R"({"net":"gru","trace":%s})", "true", {"1"}},
+        {"shards", R"({"net":"gru","runPolicy":{"sim":{"shards":%s}}})",
+         "8", {"4294967304", R"("8")", "-2", "2.5"}},
+        {"maxResidentCtas",
+         R"({"net":"gru","runPolicy":{"sim":{"maxResidentCtas":%s}}})",
+         "4", {"4294967296", R"("4")", "-4"}},
+        {"maxResidentWarps",
+         R"({"net":"gru","runPolicy":{"sim":{"maxResidentWarps":%s}}})",
+         "4", {"4294967296", "[]", "0.25"}},
+        {"maxWarpsPerCta",
+         R"({"net":"gru","runPolicy":{"sim":{"maxWarpsPerCta":%s}}})",
+         "4", {"1e10", "{}", "-1"}},
+        {"maxSampledCtas",
+         R"({"net":"gru","runPolicy":{"sim":{"maxSampledCtas":%s}}})",
+         "1e15", {"1e20", R"("4")", "-1", "3.5"}},
+        {"maxCycles", R"({"net":"gru","runPolicy":{"sim":{"maxCycles":%s}}})",
+         "1e15", {R"("10")", "-10", "1.5"}},
+        {"fullSim", R"({"net":"gru","runPolicy":{"sim":{"fullSim":%s}}})",
+         "true", {"1", R"("yes")"}},
+        {"memoize", R"({"net":"gru","runPolicy":{"sim":{"memoize":%s}}})",
+         "false", {"0"}},
+        {"profile", R"({"net":"gru","runPolicy":{"sim":{"profile":%s}}})",
+         "true", {"1"}},
+        {"functional", R"({"net":"gru","runPolicy":{"functional":%s}})",
+         "true", {"1"}},
+        {"check", R"({"net":"gru","runPolicy":{"check":%s}})", "true",
+         {"1"}},
+        {"tolerance", R"({"net":"gru","runPolicy":{"tolerance":%s}})",
+         "0.01", {R"("0.1")", "true"}},
+        {"maxLoopChannels",
+         R"({"net":"gru","runPolicy":{"maxLoopChannels":%s}})", "64",
+         {"4294967296", R"("64")", "-64", "6.4"}},
+    };
+    const auto fill = [](const char *fmt, const char *value) {
+        std::string out = fmt;
+        out.replace(out.find("%s"), 2, value);
+        return out;
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.field);
+        JobSpec ok;
+        std::string err;
+        EXPECT_TRUE(JobSpec::fromJson(fill(c.json, c.good), ok, &err))
+            << err;
+        for (const char *value : c.bad) {
+            JobSpec out;
+            out.net = "untouched";
+            const std::string text = fill(c.json, value);
+            EXPECT_FALSE(JobSpec::fromJson(text, out, &err)) << text;
+            EXPECT_NE(err.find(std::string("'") + c.field + "'"),
+                      std::string::npos)
+                << text << " -> " << err;
+            EXPECT_EQ(out.net, "untouched");
+        }
+    }
+
+    // The largest values still land exactly, and unknown fields stay
+    // ignored whatever their type.
+    JobSpec max;
+    std::string err;
+    ASSERT_TRUE(JobSpec::fromJson(
+        R"({"net":"gru","seqLen":4294967295,"future":"x",)"
+        R"("runPolicy":{"sim":{"maxCycles":1e15,"later":[1]}}})",
+        max, &err))
+        << err;
+    EXPECT_EQ(max.seqLen, 4294967295u);
+    EXPECT_EQ(max.inlinePolicy.sim.maxCycles, 1000000000000000ull);
+}
+
 TEST(Job, SpecFromJsonRejectsOutOfRangeNumbers)
 {
     // A number no double holds is refused by the reader, not saturated
@@ -120,34 +212,34 @@ TEST(Job, SpecFromJsonRejectsOutOfRangeNumbers)
 
 TEST(Job, CacheKeyMatchesRunKeyString)
 {
-    // The legacy RunKey and an all-default-extras JobSpec must key
-    // character-identically, or serve traffic and bench sweeps would
-    // stop sharing one cache.
+    // These strings key the disk spill and the benchmark's reference
+    // digests, and every front end (serve traffic, bench sweeps) must
+    // produce them character for character to share one cache: the
+    // format must never drift.
     const struct
     {
         const char *net, *platform, *policy;
         uint32_t l1d;
         sim::SchedPolicy sched;
+        const char *key;
     } cases[] = {
-        {"alexnet", "GP102", "bench", 64 * 1024, sim::SchedPolicy::GTO},
-        {"gru", "TX1", "exact", 0, sim::SchedPolicy::LRR},
-        {"vggnet", "GK210", "mem", 128 * 1024, sim::SchedPolicy::TLV},
+        {"alexnet", "GP102", "bench", 64 * 1024, sim::SchedPolicy::GTO,
+         "alexnet/GP102/l1=64K/gto/bench"},
+        {"vggnet", "GP102", "mem", 0, sim::SchedPolicy::GTO,
+         "vggnet/GP102/l1=off/gto/mem"},
+        {"gru", "TX1", "exact", 0, sim::SchedPolicy::LRR,
+         "gru/TX1/l1=off/lrr/exact"},
+        {"vggnet", "GK210", "mem", 128 * 1024, sim::SchedPolicy::TLV,
+         "vggnet/GK210/l1=128K/tlv/mem"},
     };
     for (const auto &c : cases) {
-        rt::RunKey key;
-        key.net = c.net;
-        key.platform = c.platform;
-        key.policy = c.policy;
-        key.l1dBytes = c.l1d;
-        key.sched = c.sched;
-
         JobSpec spec;
         spec.net = c.net;
         spec.platform = c.platform;
         spec.policy = c.policy;
         spec.l1dBytes = c.l1d;
         spec.sched = c.sched;
-        EXPECT_EQ(spec.cacheKey().str, key.str());
+        EXPECT_EQ(spec.cacheKey().str, c.key);
     }
 }
 
@@ -229,10 +321,15 @@ TEST(Job, TierJsonRoundTrip)
     EXPECT_EQ(back.maxRelErr, 0.1);
     EXPECT_EQ(back.toJson(), spec.toJson());
 
-    spec.tier = rt::Tier::Replay;
-    spec.maxRelErr = 0.0;
-    ASSERT_TRUE(JobSpec::fromJson(spec.toJson(), back, &err)) << err;
-    EXPECT_EQ(back.tier, rt::Tier::Replay);
+    // The retired "replay" tier parses as sim, so old clients keep
+    // working and share the sim-tier cache entry.
+    ASSERT_TRUE(JobSpec::fromJson(R"({"net":"alexnet","tier":"replay"})",
+                                  back, &err))
+        << err;
+    EXPECT_EQ(back.tier, rt::Tier::Sim);
+    JobSpec sim{"alexnet"};
+    EXPECT_EQ(back.cacheKey().str, sim.cacheKey().str);
+    EXPECT_EQ(back.toJson(), sim.toJson());
 }
 
 TEST(Job, TierDefaultElidedFromJsonAndKey)
@@ -253,23 +350,15 @@ TEST(Job, TierDefaultElidedFromJsonAndKey)
     EXPECT_EQ(legacy.tier, rt::Tier::Sim);
     EXPECT_EQ(legacy.toJson(), spec.toJson());
 
-    // ...and sim-tier cache keys are unchanged: serve traffic and the
-    // bench sweeps keep sharing one Engine cache.
-    rt::RunKey key;
-    key.net = "alexnet";
-    EXPECT_EQ(spec.cacheKey().str, key.str());
+    // ...and sim-tier cache keys carry no tier suffix: serve traffic
+    // and the bench sweeps keep sharing one Engine cache.
+    EXPECT_EQ(spec.cacheKey().str, "alexnet/GP102/l1=64K/gto/bench");
 
-    // Non-default tiers suffix the key (distinct result spaces).
+    // The estimate tier suffixes the key (a distinct result space).
     JobSpec est = spec;
     est.tier = rt::Tier::Estimate;
-    EXPECT_NE(est.cacheKey().str, spec.cacheKey().str);
-    EXPECT_NE(est.cacheKey().str.find("/tier=estimate"),
-              std::string::npos);
-    JobSpec replay = spec;
-    replay.tier = rt::Tier::Replay;
-    EXPECT_NE(replay.cacheKey().str.find("/tier=replay"),
-              std::string::npos);
-    EXPECT_NE(est.cacheKey().str, replay.cacheKey().str);
+    EXPECT_EQ(est.cacheKey().str,
+              "alexnet/GP102/l1=64K/gto/bench/tier=estimate");
 
     // A requested error bound keys separately too: a tighter bound can
     // change which tier actually serves the job.
@@ -294,8 +383,8 @@ TEST(Job, TierUnknownNameRejected)
     rt::Tier t;
     EXPECT_TRUE(rt::tierFromName("sim", t));
     EXPECT_EQ(t, rt::Tier::Sim);
-    EXPECT_TRUE(rt::tierFromName("replay", t));
-    EXPECT_EQ(t, rt::Tier::Replay);
+    EXPECT_TRUE(rt::tierFromName("replay", t));   // retired alias
+    EXPECT_EQ(t, rt::Tier::Sim);
     EXPECT_TRUE(rt::tierFromName("estimate", t));
     EXPECT_EQ(t, rt::Tier::Estimate);
     EXPECT_FALSE(rt::tierFromName("Sim", t));

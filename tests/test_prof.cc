@@ -33,8 +33,7 @@ namespace {
 rt::NetRun
 runProfiled(const std::string &net)
 {
-    rt::RunKey key;                       // GP102 / bench defaults
-    sim::Gpu gpu(rt::makeConfig(key));
+    sim::Gpu gpu(rt::JobSpec{}.gpuConfig());   // GP102 / JobSpec defaults
     rt::RunPolicy policy = rt::RunPolicy::named("bench");
     policy.sim.profile = true;
     return rt::runNetworkByName(gpu, net, policy);
@@ -68,14 +67,14 @@ TEST(Prof, ConsistentAcrossAllSevenNetworks)
 // digits, bit-exact) is the strongest equality we can ask for.
 TEST(Prof, ProfileFlagDoesNotPerturbStatistics)
 {
-    rt::RunKey key;
+    const sim::GpuConfig cfg = rt::JobSpec{}.gpuConfig();
     rt::RunPolicy off = rt::RunPolicy::named("bench");
     rt::RunPolicy on = off;
     on.sim.profile = true;
 
-    sim::Gpu gpuOff(rt::makeConfig(key));
+    sim::Gpu gpuOff(cfg);
     rt::NetRun a = rt::runNetworkByName(gpuOff, "cifarnet", off);
-    sim::Gpu gpuOn(rt::makeConfig(key));
+    sim::Gpu gpuOn(cfg);
     rt::NetRun b = rt::runNetworkByName(gpuOn, "cifarnet", on);
 
     EXPECT_EQ(profiledKernels(a), 0u);

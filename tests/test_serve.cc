@@ -413,6 +413,12 @@ TEST(Serve, ResponseBytesIdenticalForEveryServedKind)
                               a.roundTrip(serve::makeRunRequest(id, job)),
                               id, job, "mem");
 
+        // The retired "replay" tier is the sim tier: same cache entry.
+        expectServedBytes(ts.server,
+                          b.roundTrip(R"({"type":"run","id":9,"job":)"
+                                      R"({"net":"cifarnet","tier":"replay"}})"),
+                          9, job, "mem");
+
         // The estimate tier, cold then warm.
         expectServedBytes(ts.server,
                           a.roundTrip(serve::makeRunRequest(5, est)), 5,
@@ -734,7 +740,18 @@ TEST(ServeChaos, UnbuildableConfigAndShardCountAreBadRequests)
         EXPECT_FALSE(res.ok) << job;
         EXPECT_EQ(res.error.rfind("bad request: ", 0), 0u) << res.error;
     }
+    // Fields that would be truncated or defaulted are refused when the
+    // frame is parsed: 2^32 + 65536 must not run as a 64 KiB L1D.
+    for (const char *job :
+         {R"({"net":"cifarnet","l1dBytes":4295032832})",
+          R"({"net":"gru","runPolicy":{"sim":{"shards":4294967304}}})",
+          R"({"net":"cifarnet","l1dBytes":"64K"})"}) {
+        const JobResult res = rawRun(conn, job);
+        EXPECT_FALSE(res.ok) << job;
+        EXPECT_EQ(res.error.rfind("bad request: ", 0), 0u) << res.error;
+    }
     expectRunsAccounted(ts.server.metrics(), 2);
+    EXPECT_EQ(ts.server.metrics().invalid, 5u);
     std::string err;
     EXPECT_TRUE(ts.connect().ping(&err)) << err;
 }

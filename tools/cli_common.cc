@@ -102,7 +102,7 @@ makeJobSpec(const std::string &net, const JobSpecArgs &args)
         tier = env && *env ? lower(env) : "sim";
     }
     if (!rt::tierFromName(tier, spec.tier))
-        fatal("unknown tier '%s' (known: sim, replay, estimate)",
+        fatal("unknown tier '%s' (known: sim, estimate)",
               tier.c_str());
     spec.functional = args.functional;
     spec.profile = args.profile;

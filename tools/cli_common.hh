@@ -62,7 +62,7 @@ struct JobSpecArgs
     std::string policy = "bench";
     std::string platform = "GP102";
     uint32_t seqLen = 0;       ///< 0 = model default (RNNs only)
-    /** Accuracy tier name ("sim" | "replay" | "estimate"); "" resolves
+    /** Accuracy tier name ("sim" | "estimate"); "" resolves
      *  the TANGO_TIER environment knob, itself defaulting to "sim". */
     std::string tier;
     bool functional = false;

@@ -69,7 +69,7 @@ usage(FILE *to)
         "  --nets LIST      comma list of networks (default: all seven)\n"
         "  --policies LIST  comma list of policies (default: bench)\n"
         "  --tier LIST      comma list of accuracy tiers to mix into the\n"
-        "                   job list: sim | replay | estimate (default: sim)\n"
+        "                   job list: sim | estimate (default: sim)\n"
         "  --platform P     GP102 | GK210 | TX1 (default GP102)\n"
         "  --seed N         zipf sampling seed (default 1)\n"
         "  --skip-cold      skip the cold phase (server already warm)\n"
@@ -155,7 +155,7 @@ parseArgs(int argc, char **argv)
     for (const std::string &tier : opt.tiers) {
         rt::Tier t;
         if (!rt::tierFromName(tier, t))
-            fatal("unknown tier '%s' (known: sim, replay, estimate)",
+            fatal("unknown tier '%s' (known: sim, estimate)",
                   tier.c_str());
     }
     return opt;

@@ -50,7 +50,7 @@ usage(FILE *to)
         "  --seq-len N      RNN sequence length (default %u; ignored for\n"
         "                   CNNs)\n"
         "  --platform P     GP102 | GK210 | TX1 (default GP102)\n"
-        "  --tier T         accuracy tier: sim | replay | estimate\n"
+        "  --tier T         accuracy tier: sim | estimate\n"
         "                   (default $TANGO_TIER, else sim)\n"
         "  --functional     upload weights and compute real outputs\n"
         "  -h, --help       this message\n"

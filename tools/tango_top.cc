@@ -56,7 +56,7 @@ struct Totals
     double served = 0;
     double servedSim = 0, servedJoin = 0, servedMem = 0, servedDisk = 0;
     double rejects = 0;
-    double tierSim = 0, tierReplay = 0, tierEstimate = 0;
+    double tierSim = 0, tierEstimate = 0;
     double cacheHits = 0, cacheLookups = 0;
     double queueDepth = 0;
     metrics::HistogramSnapshot latency;
@@ -82,7 +82,6 @@ read(const metrics::Scrape &s)
     t.served = s.sum("tango_serve_served_total");
     t.rejects = s.sum("tango_serve_rejects_total");
     t.tierSim = familyValue(s, "tango_serve_tier_total", "tier", "sim");
-    t.tierReplay = familyValue(s, "tango_serve_tier_total", "tier", "replay");
     t.tierEstimate =
         familyValue(s, "tango_serve_tier_total", "tier", "estimate");
     const double mem =
@@ -118,11 +117,9 @@ render(const Totals &now, const Totals &prev, double intervalSec,
                 "disk %5.1f%%\n",
                 pct(now.servedSim, served), pct(now.servedJoin, served),
                 pct(now.servedMem, served), pct(now.servedDisk, served));
-    const double tiers = now.tierSim + now.tierReplay + now.tierEstimate;
-    std::printf("  tier mix sim %5.1f%%  replay %5.1f%%  "
-                "estimate %5.1f%%\n",
-                pct(now.tierSim, tiers), pct(now.tierReplay, tiers),
-                pct(now.tierEstimate, tiers));
+    const double tiers = now.tierSim + now.tierEstimate;
+    std::printf("  tier mix sim %5.1f%%  estimate %5.1f%%\n",
+                pct(now.tierSim, tiers), pct(now.tierEstimate, tiers));
     std::printf("  cache    hit rate %5.1f%%  (%.0f of %.0f lookups)   "
                 "queue depth %.0f\n",
                 pct(now.cacheHits, now.cacheLookups), now.cacheHits,
