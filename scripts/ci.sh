@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command CI gate: default build + full test suite (including the
 # golden-stats corpus) + the TANGO_SIM_SHARDS={1,2,4} golden matrix +
+# the paper figures cold and warm (tango-fig all, byte-identical) +
 # the parallel-determinism tier + a tango-trace export validated as
 # JSON + AddressSanitizer decoder/serve tests + ThreadSanitizer
 # engine/trace/parallel tests.
@@ -32,6 +33,19 @@ done
 
 echo "=== chaos tier (well-formed requests that once killed tango-serve) ==="
 ctest --test-dir build -L chaos --output-on-failure -j
+
+echo "=== paper figures: tango-fig all cold, then warm from its spill ==="
+# Every figure and every Observation predicate (tango-fig exits 1 on an
+# unexpected result).  The second run recalls every job from the first
+# run's TANGO_ENGINE_CACHE and must print byte-identical stdout.
+figdir=$(mktemp -d)
+TANGO_ENGINE_CACHE="$figdir/cache.json" build/bench/tango-fig all \
+    > "$figdir/cold.txt"
+TANGO_ENGINE_CACHE="$figdir/cache.json" build/bench/tango-fig all \
+    > "$figdir/warm.txt"
+cmp "$figdir/cold.txt" "$figdir/warm.txt"
+tail -n 1 "$figdir/warm.txt"
+rm -rf "$figdir"
 
 echo "=== parallel-determinism tier (sharded runs are bit-reproducible) ==="
 ctest --test-dir build -L parallel --output-on-failure -j

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Machine-readable wall-time baseline of the simulator itself.
 #
-# Runs the three paper-figure benches that dominate suite runtime (fig01,
-# fig07, fig15) plus cold single-net GRU/LSTM simulations through
+# Runs the three paper figures that dominate suite runtime (tango-fig
+# fig01, fig07, fig15) plus cold single-net GRU/LSTM simulations through
 # tango-run, each RUNS times, and writes BENCH_simwall.json mapping each
 # entry to its minimum user-CPU seconds (minimum, not mean: the machines
 # this runs on are shared, and min-of-N is the standard noise filter for
-# wall-clock perf tracking).
+# wall-clock perf tracking).  The figure entries keep the key names of
+# the per-figure binaries tango-fig replaced (fig01_layer_time_breakdown,
+# ...), so a baseline written before the switch still compares like
+# with like.
 #
 # The RNN entries also run with TANGO_NO_MEMO=1 so the launch-memoization
 # speedup is recorded alongside (<net>_memo_off and <net>_memo_speedup);
@@ -36,7 +39,7 @@ RUNS="${RUNS:-3}"
 SEQLEN="${SEQLEN:-512}"
 OUT="${OUT:-BENCH_simwall.json}"
 
-if [[ ! -x build/tools/tango-run || ! -x build/bench/fig01_layer_time_breakdown ]]; then
+if [[ ! -x build/tools/tango-run || ! -x build/bench/tango-fig ]]; then
     echo "building (cmake default tree at build/) ..." >&2
     cmake -B build -S . >/dev/null
     cmake --build build -j >/dev/null
@@ -77,10 +80,12 @@ min_real() {
 }
 
 declare -A wall
-for fig in fig01_layer_time_breakdown fig07_stall_breakdown \
-           fig15_scheduler_sensitivity; do
-    echo "measuring $fig (${RUNS}x) ..." >&2
-    wall[$fig]=$(min_user "build/bench/$fig")
+declare -A figkey=([fig01]=fig01_layer_time_breakdown
+                   [fig07]=fig07_stall_breakdown
+                   [fig15]=fig15_scheduler_sensitivity)
+for fig in fig01 fig07 fig15; do
+    echo "measuring tango-fig $fig (${RUNS}x) ..." >&2
+    wall[${figkey[$fig]}]=$(min_user build/bench/tango-fig "$fig")
 done
 for net in gru lstm; do
     echo "measuring $net cold, seq-len $SEQLEN, memo on/off (${RUNS}x each) ..." >&2
@@ -100,10 +105,10 @@ for k in 1 2 4; do
     echo "measuring sharded fig01/fig15 wall time, TANGO_SIM_SHARDS=$k (${RUNS}x each) ..." >&2
     wall[fig01_shards$k]=$(min_real env TANGO_SIM_SHARDS=$k \
                            TANGO_ENGINE_THREADS=1 \
-                           build/bench/fig01_layer_time_breakdown)
+                           build/bench/tango-fig fig01)
     wall[fig15_shards$k]=$(min_real env TANGO_SIM_SHARDS=$k \
                            TANGO_ENGINE_THREADS=1 \
-                           build/bench/fig15_scheduler_sensitivity)
+                           build/bench/tango-fig fig15)
 done
 
 # Profiling-off guard: the per-PC profiler (SimPolicy::profile) must

@@ -98,11 +98,7 @@ layerEnergyBreakdown(const rt::NetRun &run)
     double total = 0.0;
     std::vector<std::pair<std::string, double>> vals;
     for (const std::string &fig : run.figTypes()) {
-        double e = 0.0;
-        for (const auto &l : run.layers) {
-            if (l.figType == fig)
-                e += l.energyJ();
-        }
+        const double e = run.figTypeEnergy(fig);
         vals.emplace_back(fig, e);
         total += e;
     }

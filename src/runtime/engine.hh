@@ -119,8 +119,9 @@ class Engine
      * @param fn if given, runs instead of the standard job body
      *        runJob(gpu, spec) — the tango-serve tests inject blocking
      *        runners through this to pin jobs in flight.
-     * fatal()s later (on the worker) if the spec is invalid —
-     * validate() first.
+     * An invalid spec fails only its own future (std::invalid_argument),
+     * except an unbuildable GPU config, which the worker's sim::Gpu
+     * fatal()s on — validate() first.
      */
     Submitted submitJob(const JobSpec &spec, unsigned maxInFlight = 0,
                         JobFn fn = nullptr);
@@ -172,7 +173,7 @@ class Engine
     void logCacheStats();
 
     /** The process-wide engine (configured from the environment).
-     *  This is what bench_util and the examples share. */
+     *  This is what tango-fig and the examples share. */
     static Engine &global();
 
   private:

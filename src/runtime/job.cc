@@ -466,7 +466,8 @@ Runtime::run(const JobSpec &spec)
 {
     const std::string why = spec.validate();
     if (!why.empty())
-        fatal("invalid job %s: %s", spec.toJson().c_str(), why.c_str());
+        throw std::invalid_argument("invalid job " + spec.toJson() + ": " +
+                                    why);
 
     if (spec.tier == Tier::Estimate) {
         NetRun est;

@@ -7,7 +7,7 @@
  * platform x L1D size x warp scheduler x policy) everywhere:
  *
  *  - the parse target of the CLI tools (tools/cli_common),
- *  - the jobs of the bench binaries and examples (rt::JobSpec{net}),
+ *  - the jobs of the figure registry and examples (rt::JobSpec{net}),
  *  - the wire format of the tango-serve daemon (serve/protocol), via
  *    canonical JSON (de)serialization,
  *  - the cache-key source of the rt::Engine run cache (rt::CacheKey):
@@ -119,7 +119,8 @@ struct JobSpec
     /** @return "" if the spec is runnable, else a one-line reason
      *  (unknown net/policy/platform, a sim::configError() platform,
      *  more than sim::kMaxShards shards, out-of-range seqLen).  Check
-     *  this before run()/submitJob(): running an invalid spec fatal()s. */
+     *  this before run()/submitJob(): running an invalid spec throws
+     *  std::invalid_argument. */
     std::string validate() const;
 
     /** @return the effective RunPolicy: the named (or inline) policy
@@ -197,8 +198,8 @@ struct JobResult
  * Run one job on @p gpu (which must already be configured to
  * spec.gpuConfig(); rt::Engine workers guarantee this).  Builds the
  * model (honouring seqLen), generates weights only when the resolved
- * policy needs functional outputs, and runs it.  fatal()s on an invalid
- * spec — validate() first.
+ * policy needs functional outputs, and runs it.  Throws
+ * std::invalid_argument on an invalid spec — validate() first.
  */
 NetRun runJob(sim::Gpu &gpu, const JobSpec &spec);
 

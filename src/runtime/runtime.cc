@@ -39,17 +39,35 @@ LayerRun::gpuCycles() const
     return c;
 }
 
+namespace {
+
+/** Whether a layer of figType @p type is drawn as figure type @p fig. */
+bool
+drawnAs(const std::string &type, const std::string &fig)
+{
+    return type == fig ||
+           (fig == "Fire" && (type == "Fire_Squeeze" || type == "Fire_Expand"));
+}
+
+} // namespace
+
+StatSet
+NetRun::figTypeStats(const std::string &fig) const
+{
+    StatSet out;
+    for (const auto &l : layers) {
+        if (!drawnAs(l.figType, fig))
+            continue;
+        for (const auto &k : l.kernels)
+            out.merge(k.stats);
+    }
+    return out;
+}
+
 double
 NetRun::figTypeStat(const std::string &fig, const std::string &stat) const
 {
-    double total = 0.0;
-    for (const auto &l : layers) {
-        if (l.figType != fig)
-            continue;
-        for (const auto &k : l.kernels)
-            total += k.stats.get(stat);
-    }
-    return total;
+    return figTypeStats(fig).get(stat);
 }
 
 double
@@ -57,8 +75,19 @@ NetRun::figTypeTime(const std::string &fig) const
 {
     double total = 0.0;
     for (const auto &l : layers) {
-        if (l.figType == fig)
+        if (drawnAs(l.figType, fig))
             total += l.timeSec();
+    }
+    return total;
+}
+
+double
+NetRun::figTypeEnergy(const std::string &fig) const
+{
+    double total = 0.0;
+    for (const auto &l : layers) {
+        if (drawnAs(l.figType, fig))
+            total += l.energyJ();
     }
     return total;
 }

@@ -101,11 +101,18 @@ struct NetRun
     double estErrP50 = 0.0;
     double estErrP95 = 0.0;
 
-    /** Sum a counter over layers whose figType is @p fig. */
+    /* Per-figure-type sums over the layers a figure draws as @p fig:
+     * those whose figType is @p fig, and for "Fire" both halves of
+     * SqueezeNet's fire module (Fire_Squeeze, Fire_Expand). */
+    /** Sum of counter @p stat. */
     double figTypeStat(const std::string &fig,
                        const std::string &stat) const;
-    /** Total time of layers with figType @p fig. */
+    /** All counters, merged. */
+    StatSet figTypeStats(const std::string &fig) const;
+    /** Total time. */
     double figTypeTime(const std::string &fig) const;
+    /** Total energy. */
+    double figTypeEnergy(const std::string &fig) const;
     /** All distinct figTypes in first-appearance order. */
     std::vector<std::string> figTypes() const;
 };
@@ -140,8 +147,9 @@ class Runtime
      * Run a JobSpec (runtime/job.hh): builds the model it names
      * (honouring seqLen), generates weights only when the resolved
      * policy needs functional outputs, and runs it.  The Gpu this
-     * Runtime wraps must already match spec.gpuConfig().  fatal()s on
-     * an invalid spec — validate() first.
+     * Runtime wraps must already match spec.gpuConfig().  Throws
+     * std::invalid_argument (the validate() reason) on an invalid spec,
+     * so an Engine job fails alone instead of ending the process.
      */
     NetRun run(const JobSpec &spec);
 

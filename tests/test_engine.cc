@@ -166,6 +166,30 @@ TEST(Engine, ThrowingJobDoesNotPoisonThePool)
     expectCacheAccounted(e, 3);
 }
 
+TEST(Engine, InvalidSpecFailsOnlyItsJob)
+{
+    Engine e = makeEngine(2);
+
+    // A typo'd network passes admission (its GPU config is buildable)
+    // and must fail on the worker as an exception, not end the process.
+    JobSpec typo{"alexnett"};
+    ASSERT_FALSE(typo.validate().empty());
+    try {
+        e.run(typo);
+        FAIL() << "an invalid spec ran";
+    } catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find(typo.validate()),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_EQ(e.cacheStats().failures, 1u);
+
+    // A valid job submitted after it still completes.
+    const rt::NetRun &after = e.run(JobSpec{"gru"});
+    EXPECT_GT(after.totalTimeSec, 0.0);
+    expectCacheAccounted(e, 2);
+}
+
 TEST(Engine, DiskSpillRoundTrips)
 {
     const std::string path =

@@ -128,6 +128,28 @@ TEST(Runtime, FigTypeAccountingConsistent)
     EXPECT_NEAR(sum, run.totalTimeSec, 1e-12);
 }
 
+TEST(Runtime, FireFigureTypeFoldsBothFireHalves)
+{
+    rt::NetRun run;
+    for (const char *type : {"Conv", "Fire_Squeeze", "Fire_Expand"}) {
+        rt::LayerRun l;
+        l.figType = type;
+        sim::KernelStats k;
+        k.timeSec = 1.0;
+        k.energyJ = 2.0;
+        k.stats.add("mem.l2.misses", 3.0);
+        l.kernels.push_back(k);
+        run.layers.push_back(l);
+    }
+    EXPECT_EQ(run.figTypeTime("Fire"), 2.0);
+    EXPECT_EQ(run.figTypeEnergy("Fire"), 4.0);
+    EXPECT_EQ(run.figTypeStat("Fire", "mem.l2.misses"), 6.0);
+    EXPECT_EQ(run.figTypeStats("Fire").get("mem.l2.misses"), 6.0);
+    // The raw types still count alone.
+    EXPECT_EQ(run.figTypeTime("Fire_Expand"), 1.0);
+    EXPECT_EQ(run.figTypeStat("Conv", "mem.l2.misses"), 3.0);
+}
+
 TEST(Runtime, UnknownPolicyNameIsFatalAndListsKnownPolicies)
 {
     // The clean error path: a typo'd policy name must exit(1) with a
