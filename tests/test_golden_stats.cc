@@ -752,6 +752,27 @@ diffNetRun(const NetRun &g, const NetRun &a)
 
 // ------------------------------------------------------------ the driver
 
+/**
+ * Platform variants pinned beside the default GP102/GTO/64 KB-L1D corpus,
+ * so every warp scheduler and the L1D-bypass path are held bit-exact:
+ * "" (the default), "lrr", "tlv" and "l1off" (l1dBytes = 0).  A variant's
+ * fixture is <net>.<variant>.json (.k<K> appended as for the base set).
+ */
+sim::GpuConfig
+goldenConfig(const std::string &variant)
+{
+    sim::GpuConfig cfg = sim::pascalGP102();
+    if (variant == "lrr")
+        cfg.scheduler = sim::SchedPolicy::LRR;
+    else if (variant == "tlv")
+        cfg.scheduler = sim::SchedPolicy::TLV;
+    else if (variant == "l1off")
+        cfg.l1dBytes = 0;
+    else
+        EXPECT_EQ(variant, "") << "unknown golden variant";
+    return cfg;
+}
+
 std::string
 fixturePath(const std::string &name)
 {
@@ -775,9 +796,9 @@ updateMode()
 }
 
 NetRun
-runGolden(const std::string &name)
+runGolden(const std::string &name, const std::string &variant = "")
 {
-    sim::Gpu gpu(sim::pascalGP102());
+    sim::Gpu gpu(goldenConfig(variant));
     nn::AnyModel model = buildGoldenModel(name);
     nn::initWeights(model);
 
@@ -792,10 +813,11 @@ runGolden(const std::string &name)
 }
 
 void
-checkGolden(const std::string &name)
+checkGolden(const std::string &name, const std::string &variant = "")
 {
-    const NetRun actual = runGolden(name);
-    const std::string path = fixturePath(name);
+    const NetRun actual = runGolden(name, variant);
+    const std::string path =
+        fixturePath(variant.empty() ? name : name + "." + variant);
 
     if (updateMode()) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -849,6 +871,13 @@ TEST(GoldenStats, ResNet) { checkGolden("resnet"); }
 TEST(GoldenStats, VggNet) { checkGolden("vggnet"); }
 TEST(GoldenStats, Gru) { checkGolden("gru"); }
 TEST(GoldenStats, Lstm) { checkGolden("lstm"); }
+TEST(GoldenStats, CifarNetLrr) { checkGolden("cifarnet", "lrr"); }
+TEST(GoldenStats, CifarNetTlv) { checkGolden("cifarnet", "tlv"); }
+TEST(GoldenStats, AlexNetLrr) { checkGolden("alexnet", "lrr"); }
+TEST(GoldenStats, AlexNetTlv) { checkGolden("alexnet", "tlv"); }
+TEST(GoldenStats, AlexNetL1Off) { checkGolden("alexnet", "l1off"); }
+// 16 resident slots: TLV's active set of 8 fills and must demote.
+TEST(GoldenStats, ResNetTlv) { checkGolden("resnet", "tlv"); }
 
 /** RAII TANGO_NO_MEMO=1: force-disables launch memoization for one run. */
 struct ScopedNoMemo
