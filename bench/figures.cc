@@ -95,12 +95,10 @@ tab01()
         Table t("Table I: inputs, pre-trained models and outputs");
         t.header({"network", "input data", "pre-trained model", "output",
                   "layers", "params(M)", "MACs(M)"});
-        for (nn::RnnModel m :   // the paper's Table I unroll
+        for (const nn::RnnModel &m :   // the paper's Table I unroll
              {nn::models::buildGru(2), nn::models::buildLstm(2)}) {
-            nn::initWeights(m);
-            const std::string params = Table::num(
-                double(m.weights.size() + m.fcW.size() + m.fcB.size()) / 1e6,
-                3);
+            const std::string params =
+                Table::num(double(m.paramCount()) / 1e6, 3);
             t.row({m.name,
                    "bitcoin prices of past two days (scaled, synthetic walk)",
                    "synthetic He-init (paper: kaggle bitcoin predictor)",
@@ -124,8 +122,7 @@ tab01()
              "synthetic He-init (paper: VGG-16)", "recognized class id"},
         };
         for (const auto &c : cnns) {
-            nn::Network net = nn::models::buildCnn(c[0]);
-            nn::initWeights(net);   // the parameter counts need tensors
+            const nn::Network net = nn::models::buildCnn(c[0]);
             t.row({c[0], c[1], c[2], c[3],
                    std::to_string(net.layers().size()),
                    Table::num(double(net.totalParams()) / 1e6, 1),

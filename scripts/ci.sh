@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command CI gate: default build + full test suite (including the
 # golden-stats corpus) + the TANGO_SIM_SHARDS={1,2,4} golden matrix +
+# one round of perfbench's cnn_sweep_cold against its reference digests +
 # the paper figures cold and warm (tango-fig all, byte-identical) +
 # the parallel-determinism tier + a tango-trace export validated as
 # JSON + AddressSanitizer decoder/serve tests + ThreadSanitizer
@@ -30,6 +31,15 @@ for k in 1 2 4; do
     TANGO_SIM_SHARDS=$k ctest --test-dir build -L golden \
         --output-on-failure -j
 done
+
+echo "=== perfbench cnn_sweep_cold: one round against the reference digests ==="
+# The Fig 2/15 grid (GTO, LRR and L1D off on four full networks) is the
+# only bit-exact check of LRR and L1D-off on whole networks; the last
+# stdout line is the result, which must report correct:true.
+bench=$(python3 perfbench/run.py --workload cnn_sweep_cold --seed 1 \
+    --seconds 1 --trace 0 | tail -n 1)
+echo "$bench"
+grep -q '"correct":true' <<< "$bench"
 
 echo "=== chaos tier (well-formed requests that once killed tango-serve) ==="
 ctest --test-dir build -L chaos --output-on-failure -j

@@ -88,8 +88,19 @@ Layer::macs() const
 uint64_t
 Layer::paramCount() const
 {
-    return weights.size() + biasT.size() + mean.size() + var.size() +
-           gamma.size() + betaT.size();
+    switch (kind) {
+      case LayerKind::Conv:
+        return uint64_t(K) * C * R * S + (bias ? K : 0);
+      case LayerKind::Depthwise:
+        return uint64_t(C) * R * S + (bias ? C : 0);
+      case LayerKind::FC:
+        return uint64_t(outN) * inN + (bias ? outN : 0);
+      case LayerKind::BatchNorm:   // mean, var
+      case LayerKind::Scale:       // gamma, beta
+        return 2ull * C;
+      default:
+        return 0;
+    }
 }
 
 } // namespace tango::nn

@@ -117,7 +117,8 @@ struct Layer
     std::vector<uint32_t> outputShape() const;
     /** @return multiply-accumulate count of this layer. */
     uint64_t macs() const;
-    /** @return parameter (weight + bias) element count. */
+    /** @return parameter (weight + bias) element count, from the layer
+     *  shape: the elements initWeights() allocates, without allocating. */
     uint64_t paramCount() const;
 };
 

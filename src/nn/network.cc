@@ -147,6 +147,15 @@ RnnModel::step(const std::vector<float> &x, std::vector<float> &h,
     h = std::move(hNew);
 }
 
+uint64_t
+RnnModel::paramCount() const
+{
+    // G gates, each with input, recurrent and bias weights; then the
+    // hidden -> 1 readout.
+    const uint64_t gates = lstm ? 4 : 3;
+    return gates * hidden * (inputSize + hidden + 1) + hidden + 1;
+}
+
 float
 RnnModel::forward(const std::vector<float> &sequence) const
 {

@@ -63,6 +63,10 @@ struct RnnModel
     Tensor weights;        ///< packed gate weights (see kernels/rnn.cc)
     Tensor fcW, fcB;       ///< readout: hidden -> 1
 
+    /** @return parameter element count (gates and readout), from the
+     *  shape: the elements initWeights() allocates, without allocating. */
+    uint64_t paramCount() const;
+
     /** CPU reference: run the sequence, @return the predicted value. */
     float forward(const std::vector<float> &sequence) const;
 

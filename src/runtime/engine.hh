@@ -119,9 +119,8 @@ class Engine
      * @param fn if given, runs instead of the standard job body
      *        runJob(gpu, spec) — the tango-serve tests inject blocking
      *        runners through this to pin jobs in flight.
-     * An invalid spec fails only its own future (std::invalid_argument),
-     * except an unbuildable GPU config, which the worker's sim::Gpu
-     * fatal()s on — validate() first.
+     * An invalid spec fails only its own future (std::invalid_argument;
+     * sim::ConfigError for an unbuildable GPU config).
      */
     Submitted submitJob(const JobSpec &spec, unsigned maxInFlight = 0,
                         JobFn fn = nullptr);

@@ -39,6 +39,11 @@ configError(const GpuConfig &cfg)
         cfg.maxThreadsPerSm == 0) {
         return "SM occupancy limits must be > 0";
     }
+    if (cfg.maxWarpsPerSm > kMaxWarpSlots) {
+        return "maxWarpsPerSm " + std::to_string(cfg.maxWarpsPerSm) +
+               " exceeds the " + std::to_string(kMaxWarpSlots) +
+               " warp slots one SM schedules";
+    }
     if (cfg.issueWidth == 0 || cfg.numSchedulers == 0)
         return "issueWidth and numSchedulers must be > 0";
     if (cfg.lineBytes == 0)

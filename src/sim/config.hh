@@ -12,6 +12,7 @@
 #define TANGO_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace tango::sim {
@@ -105,14 +106,27 @@ struct GpuConfig
                            uint32_t smem_per_cta) const;
 };
 
+/** Warp slots one simulated SM schedules: one bit each in the uint64_t
+ *  masks of SmCore and WarpScheduler.  configError() refuses a
+ *  maxWarpsPerSm above it. */
+inline constexpr uint32_t kMaxWarpSlots = 64;
+
 /**
  * @return "" if @p cfg can be simulated, else a one-line reason: a
  * configuration that would divide by zero, build a cache smaller than
- * one set, or otherwise hit internal asserts deep inside a launch.  The
- * one rule behind both Gpu's constructor/reconfigure() (which fatal()
- * on it) and rt::JobSpec::validate() (which refuses the job).
+ * one set, outgrow the warp-slot masks, or otherwise hit internal
+ * asserts deep inside a launch.  The one rule behind both Gpu's
+ * constructor/reconfigure() (which throw ConfigError on it) and
+ * rt::JobSpec::validate() (which refuses the job).
  */
 std::string configError(const GpuConfig &cfg);
+
+/** Thrown by Gpu's constructor and reconfigure() on a configError():
+ *  a job given an unbuildable config fails alone, whatever its path. */
+struct ConfigError : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
+};
 
 /** Pascal GP102 — the paper's GPGPU-Sim configuration (Table II). */
 GpuConfig pascalGP102();

@@ -1,6 +1,7 @@
 #include "sim/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "sim/digest.hh"
@@ -15,11 +16,14 @@ constexpr uint64_t farFuture = ~0ULL;
 /** Extra latency charged when an MSHR file is full (back-pressure). */
 constexpr uint64_t throttlePenalty = 25;
 
+/** Cycles covered by SmCore::run's wake-up wheel (a power of two). */
+constexpr uint64_t wheelCycles = 64;
+
 } // namespace
 
 SmCore::SmCore(const GpuConfig &cfg, DeviceMemory &gmem, Cache &l2,
                Dram &dram)
-    : cfg_(cfg), gmem_(gmem), l2_(l2), dram_(dram)
+    : cfg_(cfg), gmem_(gmem), l2_(l2), dram_(dram), sched_(cfg.scheduler)
 {
     CacheConfig l1cfg;
     l1cfg.sizeBytes = cfg.l1dBytes;
@@ -36,8 +40,6 @@ SmCore::SmCore(const GpuConfig &cfg, DeviceMemory &gmem, Cache &l2,
     ccfg.mshrs = 8;
     ccfg.writeAllocate = false;
     constCache_ = std::make_unique<Cache>(ccfg);
-
-    sched_ = makeScheduler(cfg.scheduler);
 
     trace_ = trace::threadSink();
     l1d_->setTrace(trace_, trace::CacheLevel::L1D);
@@ -70,59 +72,57 @@ SmCore::launchCta(const KernelLaunch &launch, uint64_t linear_id,
     freeCtas_--;
     cta.barrierArrived = 0;
     cta.smem.assign(std::max<uint32_t>(launch.program->smemBytes, 1), 0);
-    cta.warpSlots.clear();
+    cta.warpMask = 0;
 
     const Dim3 coord = ctaCoord(launch.grid, linear_id);
     const uint32_t ctaOrder = ctaOrderCounter_++;
     uint32_t warpOrder = 0;
     for (uint32_t w : warp_ids) {
-        uint32_t ws = 0;
-        for (; ws < warps_.size(); ws++) {
-            if (!warps_[ws].active)
-                break;
-        }
+        // The lowest free slot (a warp that finished at launch leaves its
+        // slot free for the next one).
+        const auto ws = static_cast<uint32_t>(std::countr_zero(~active_));
         TANGO_ASSERT(ws < warps_.size(), "no free warp slot");
+        const uint64_t bit = 1ull << ws;
         WarpSlot &slotRef = warps_[ws];
         slotRef.exec = std::make_unique<WarpExec>(launch, coord, w, gmem_,
                                                   cta.smem, decoded_);
         if (hashing_)
             slotRef.exec->enableStreamHash();
-        slotRef.regReady.assign(launch.program->numRegs, 0);
-        slotRef.regPendKind.assign(launch.program->numRegs, 0);
+        std::fill_n(scoreboard_.begin() + size_t(ws) * numRegs_, numRegs_,
+                    0);
         slotRef.fetchReady = 0;
+        slotRef.depReady = 0;   // a fresh scoreboard holds no writes
         slotRef.cta = slot;
-        slotRef.active = !slotRef.exec->done();
+        const bool live = !slotRef.exec->done();
         slotRef.atBarrier = false;
-        slotRef.age = warpAgeCounter_++;
-        slotRef.nextDec =
-            slotRef.active ? &slotRef.exec->peekDecoded() : nullptr;
+        ages_[ws] = warpAgeCounter_++;
+        slotRef.nextDec = live ? &slotRef.exec->peekDecoded() : nullptr;
         slotRef.l1Hint = Cache::WayHint{};
         slotRef.l2Hint = Cache::WayHint{};
         slotRef.constHint = Cache::WayHint{};
         slotRef.hashSlot =
             ctaOrder * static_cast<uint32_t>(warp_ids.size()) + warpOrder++;
         if (profiling_)
-            slotPc_[ws] = slotRef.active ? slotRef.exec->pc() : 0;
-        evalDirty_[ws] = slotRef.active ? 1 : 0;
-        activeF_[ws] = slotRef.active ? 1 : 0;
-        ages_[ws] = slotRef.age;
-        // Not chargeable until the first evaluation (the incremental stall
-        // buckets in run() treat NumStalls as "no bucket").
-        issuable_[ws] = 0;
+            slotPc_[ws] = live ? slotRef.exec->pc() : 0;
+        // Not chargeable until its first evaluation, which a live warp
+        // gets next cycle (dirty).
         why_[ws] = Stall::NumStalls;
-        if (slotRef.active) {
-            cta.warpSlots.push_back(ws);
+        issuable_ &= ~bit;
+        if (live) {
+            active_ |= bit;
+            dirty_ |= bit;
+            cta.warpMask |= bit;
             liveWarpTotal_++;
         }
     }
-    cta.liveWarps = static_cast<uint32_t>(cta.warpSlots.size());
+    cta.liveWarps = static_cast<uint32_t>(std::popcount(cta.warpMask));
 }
 
 bool
 SmCore::issuableSlot(uint32_t slot, uint64_t now, Stall &why,
-                     uint64_t &earliest)
+                     uint64_t &earliest) const
 {
-    WarpSlot &w = warps_[slot];
+    const WarpSlot &w = warps_[slot];
     earliest = farFuture;
     if (w.atBarrier) {
         why = Stall::Sync;
@@ -133,31 +133,45 @@ SmCore::issuableSlot(uint32_t slot, uint64_t now, Stall &why,
         earliest = w.fetchReady;
         return false;
     }
-    const DecodedInstr &d = *w.nextDec;
-
-    // Scoreboard: all sources and the destination must be ready.
-    uint64_t depReady = 0;
-    uint8_t depKind = 0;
-    for (uint32_t i = 0; i < d.numSrcRegs; i++) {
-        const uint8_t r = d.srcRegs[i];
-        if (w.regReady[r] > now && w.regReady[r] > depReady) {
-            depReady = w.regReady[r];
-            depKind = w.regPendKind[r];
-        }
-    }
-    if (d.writesReg && w.regReady[d.dst] > now &&
-        w.regReady[d.dst] > depReady) {
-        depReady = w.regReady[d.dst];
-        depKind = w.regPendKind[d.dst];
-    }
-    if (depReady > now) {
-        why = depKind == 1 ? Stall::MemoryDependency
-            : depKind == 2 ? Stall::ConstantMemoryDependency
-                           : Stall::ExecDependency;
-        earliest = depReady;
+    if (w.depReady > now) {
+        why = w.depStall;
+        earliest = w.depReady;
         return false;
     }
+    return unitsFree(*w.nextDec, now, why, earliest);
+}
 
+void
+SmCore::scanScoreboard(uint32_t slot)
+{
+    // All sources and the destination of the next instruction must be
+    // ready.  The first register with the latest pending write names the
+    // stall.
+    WarpSlot &w = warps_[slot];
+    const DecodedInstr &d = *w.nextDec;
+    const uint64_t *sb = scoreboard_.data() + size_t(slot) * numRegs_;
+    uint64_t depReady = 0;
+    uint64_t depKind = 0;
+    const auto wait = [&](uint8_t r) {
+        const uint64_t ready = sb[r] >> 2;
+        const bool later = ready > depReady;
+        depKind = later ? sb[r] & 3 : depKind;
+        depReady = later ? ready : depReady;
+    };
+    for (uint32_t i = 0; i < d.numSrcRegs; i++)
+        wait(d.srcRegs[i]);
+    if (d.writesReg)
+        wait(d.dst);
+    w.depReady = depReady;
+    w.depStall = depKind == 1 ? Stall::MemoryDependency
+               : depKind == 2 ? Stall::ConstantMemoryDependency
+                              : Stall::ExecDependency;
+}
+
+bool
+SmCore::unitsFree(const DecodedInstr &d, uint64_t now, Stall &why,
+                  uint64_t &earliest) const
+{
     if (d.isLdSt && ldstThrottleUntil_ > now) {
         why = Stall::MemoryThrottle;
         earliest = ldstThrottleUntil_;
@@ -365,54 +379,47 @@ SmCore::issue(uint32_t slot, uint64_t now)
     unitBusy_[static_cast<size_t>(st.unit)] = now + occ;
 
     // --- dependencies / memory ------------------------------------------
+    const size_t reg = size_t(slot) * numRegs_ + d.dst;
     if (st.isMem) {
         const uint64_t lat = memoryLatency(st, now, w);
         if (!st.isStore && st.writesReg) {
-            w.regReady[d.dst] = now + lat;
-            w.regPendKind[d.dst] =
-                (st.space == Space::Const || st.space == Space::Param) ? 2
-                                                                       : 1;
+            const bool constant =
+                st.space == Space::Const || st.space == Space::Param;
+            scoreboard_[reg] = ((now + lat) << 2) | (constant ? 2 : 1);
         }
         if (st.space == Space::Global) {
             pj += st.numSegments * (l1d_->bypassed() ? 0.0 : p.dcAccess);
-            sched_->notifyLongLatency(slot);
+            sched_.notifyLongLatency(slot);
         } else if (st.space == Space::Shared) {
             pj += st.sharedSerialization * p.shrdAccess;
         } else {
             pj += p.ccAccess;
         }
     } else if (st.writesReg) {
-        w.regReady[d.dst] = now + d.latency;
-        w.regPendKind[d.dst] = 0;
+        scoreboard_[reg] = (now + d.latency) << 2;
     }
 
     windowAccum(pj, now);
 
     // --- control ----------------------------------------------------------
     w.fetchReady = now + (st.controlTransfer ? 3 : 1);
+    if (!st.warpDone)
+        scanScoreboard(slot);
 
     if (st.op == Op::Bar && !st.warpDone) {
         CtaSlot &cta = ctas_[w.cta];
         w.atBarrier = true;
         cta.barrierArrived++;
-        if (cta.barrierArrived >= cta.liveWarps) {
-            for (uint32_t ws : cta.warpSlots) {
-                if (warps_[ws].active) {
-                    warps_[ws].atBarrier = false;
-                    evalDirty_[ws] = 1;
-                }
-            }
-            cta.barrierArrived = 0;
-        }
+        if (cta.barrierArrived >= cta.liveWarps)
+            releaseBarrier(cta);
     }
 
     if (st.warpDone) {
         CtaSlot &cta = ctas_[w.cta];
-        w.active = false;
+        active_ &= ~(1ull << slot);
         w.nextDec = nullptr;
-        activeF_[slot] = 0;
         w.exec.reset();
-        sched_->notifyRetired(slot);
+        sched_.notifyRetired(slot);
         TANGO_ASSERT(liveWarpTotal_ > 0 && cta.liveWarps > 0,
                      "warp accounting underflow");
         liveWarpTotal_--;
@@ -420,19 +427,23 @@ SmCore::issue(uint32_t slot, uint64_t now)
         if (cta.liveWarps == 0) {
             cta.active = false;
             freeCtas_++;
-            cta.warpSlots.clear();
+            cta.warpMask = 0;
         } else if (cta.barrierArrived >= cta.liveWarps &&
                    cta.barrierArrived > 0) {
             // The retiring warp was the last one not at the barrier.
-            for (uint32_t ws : cta.warpSlots) {
-                if (warps_[ws].active) {
-                    warps_[ws].atBarrier = false;
-                    evalDirty_[ws] = 1;
-                }
-            }
-            cta.barrierArrived = 0;
+            releaseBarrier(cta);
         }
     }
+}
+
+void
+SmCore::releaseBarrier(CtaSlot &cta)
+{
+    const uint64_t waiting = cta.warpMask & active_;
+    for (uint64_t m = waiting; m; m &= m - 1)
+        warps_[std::countr_zero(m)].atBarrier = false;
+    dirty_ |= waiting;
+    cta.barrierArrived = 0;
 }
 
 KernelStats
@@ -449,8 +460,6 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
 
     launch_ = &launch;
     raw_ = RawCounts{};
-    stalls_.fill(0);
-    stats_.clear();
     l1d_->reset();
     constCache_->reset();
     peakWindowDynW_ = 0.0;
@@ -477,17 +486,16 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
     nextPending_ = 0;
     freeCtas_ = resident_ctas;
     const uint32_t nSlots = static_cast<uint32_t>(warps_.size());
-    // Inactive slots carry earliest_ == farFuture and a clear dirty flag,
-    // so the per-cycle scan needs no activity check: the re-evaluation
-    // condition can only fire for live warps, and far-future sentinels
-    // fall out of the wake-up minimum by themselves.
-    evalDirty_.assign(nSlots, 0);
-    activeF_.assign(nSlots, 0);
-    issuable_.assign(nSlots, 0);
+    TANGO_ASSERT(nSlots <= kMaxWarpSlots,
+                 "%u warp slots exceed the %u-slot scheduler masks", nSlots,
+                 kMaxWarpSlots);
+    active_ = issuable_ = dirty_ = 0;
     why_.assign(nSlots, Stall::NumStalls);
-    ages_.assign(nSlots, 0);
     earliest_.assign(nSlots, farFuture);
-    sched_->reset(nSlots);
+    ages_.assign(nSlots, 0);
+    numRegs_ = prog.numRegs;
+    scoreboard_.assign(size_t(nSlots) * numRegs_, 0);
+    sched_.reset(nSlots);
 
     profiling_ = policy.profile;
     if (profiling_) {
@@ -501,19 +509,25 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
         profPc_ = 0;
     }
 
-    // Incremental stall accounting: bucketOf(i) maps a slot to the stall
-    // reason the per-cycle accounting would charge it (or -1 for "none"),
-    // and stallCnt[] holds how many slots sit in each bucket.  Every write
-    // to activeF_/issuable_/why_ keeps the counts in step, so each cycle
-    // charges numStalls counters instead of walking every warp slot.
-    // issuableCnt tracks how many slots are currently issuable; the
-    // scheduler is only asked to scan when at least one is.
-    uint64_t stallCnt[numStalls] = {};
-    uint32_t issuableCnt = 0;
-    const auto bucketOf = [&](uint32_t i) -> int {
-        if (!activeF_[i] || why_[i] == Stall::NumStalls)
-            return -1;
-        return static_cast<int>(issuable_[i] ? Stall::NotSelected : why_[i]);
+    // Stall accounting by interval: a warp charged reason r (an issuable
+    // warp is NotSelected) from cycle t0 until t1 adds t1 - t0 cycles to
+    // r, booked as -t0 when it moves into r and +t1 when it moves out
+    // (unsigned arithmetic wraps back to the exact sum), so a cycle costs
+    // nothing for the warps that keep their reason.  Warps still charged
+    // when the kernel ends move out at its last cycle.  The per-PC profile
+    // books the same intervals under the pc the warp waits at, which
+    // changes only when it issues.  NumStalls ("not charged") is a sink.
+    uint64_t stallCycles[numStalls + 1] = {};
+    uint64_t now = 0;
+    const auto book = [&](uint32_t slot, Stall r, uint64_t cycles) {
+        const auto k = static_cast<size_t>(r);
+        stallCycles[k] += cycles;
+        if (profiling_ && r != Stall::NumStalls)
+            pcStalls_[size_t(slotPc_[slot]) * numStalls + k] += cycles;
+    };
+    const auto restall = [&](uint32_t slot, Stall from, Stall to) {
+        book(slot, from, now);
+        book(slot, to, 0 - now);
     };
 
     // Tracing flags, hoisted so the hot loop pays one predictable branch
@@ -525,18 +539,37 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
                    trace_->wants(trace::EventKind::MshrSample));
     const uint64_t samplePeriod = trace_ ? trace_->samplePeriod() : 0;
     uint64_t nextSample = 0;
-    const auto recordStall = [&](uint32_t slot, int ob, int nb,
+    const auto recordStall = [&](uint32_t slot, Stall from, Stall to,
                                  uint64_t cyc) {
+        // Bucket codes: 0 = none, else reason + 1.
+        const auto code = [](Stall r) {
+            return r == Stall::NumStalls ? 0u : static_cast<uint32_t>(r) + 1;
+        };
         trace::Event e;
         e.kind = trace::EventKind::StallTransition;
         e.cycle = cyc;
-        e.arg = (static_cast<uint32_t>(ob + 1) << 8) |
-                static_cast<uint32_t>(nb + 1);
+        e.arg = (code(from) << 8) | code(to);
         e.warp = static_cast<uint16_t>(slot);
         trace_->record(e);
     };
 
-    uint64_t now = 0;
+    // Wake-ups of the stalled slots (live, neither dirty nor issuable).
+    // A slot that stalls until cycle e (now < e < farFuture) is filed in
+    // wheel[e % wheelCycles] when e is less than wheelCycles away, else
+    // in the far set, whose earliest wake-up is at least farBound.  The
+    // wheel holds the cycles after wheelNow, the last one collected.
+    uint64_t wheel[wheelCycles] = {};
+    uint64_t wheelNow = 0;
+    uint64_t far = 0;
+    uint64_t farBound = farFuture;
+    const auto fileWakeUp = [&](uint32_t slot, uint64_t at) {
+        if (at - now < wheelCycles) {
+            wheel[at % wheelCycles] |= 1ull << slot;
+        } else if (at != farFuture) {
+            far |= 1ull << slot;
+            farBound = std::min(farBound, at);
+        }
+    };
 
     while (liveWarpTotal_ > 0 || nextPending_ < pendingCtas_.size()) {
         if (now > policy.maxCycles) {
@@ -544,80 +577,107 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
                                    std::to_string(policy.maxCycles) +
                                    "-cycle safety cap");
         }
-        // Fill free CTA slots.  launchCta resets the relaunched slots to
-        // the "not chargeable" state, so the buckets stay consistent.
+        // Fill free CTA slots; their live warps come up dirty.
         while (nextPending_ < pendingCtas_.size() && freeCtas_ > 0)
             launchCta(launch, pendingCtas_[nextPending_++], warp_ids);
         if (liveWarpTotal_ == 0)
             continue;   // CTA produced no live warps (empty block)
 
-        // Evaluate issuability.  Warps whose cached stall points to a
-        // future event keep their cached reason (exact accounting, less
-        // scanning); dirty or due warps are re-evaluated.  The pass also
-        // collects the earliest wake-up event over all live warps: no
-        // later step this cycle changes earliest_ or (when nothing ends
-        // up issuing) the live set, so the minimum is already exact.
-        uint64_t nextEvent = farFuture;
-        for (uint32_t i = 0; i < nSlots; i++) {
-            if (evalDirty_[i] || earliest_[i] <= now) {
-                const int ob = bucketOf(i);
-                const bool oi = issuable_[i] != 0;
-                issuable_[i] =
-                    issuableSlot(i, now, why_[i], earliest_[i]) ? 1 : 0;
-                evalDirty_[i] = 0;
-                const int nb = bucketOf(i);
-                if (ob != nb) {
-                    if (ob >= 0)
-                        stallCnt[ob]--;
-                    if (nb >= 0)
-                        stallCnt[nb]++;
-                    if (traceStalls)
-                        recordStall(i, ob, nb, now);
-                }
-                if (oi != (issuable_[i] != 0))
-                    issuableCnt += issuable_[i] ? 1 : -1;
+        // Evaluate issuability, in ascending slot order (the order of the
+        // stall-transition trace).  Dirty and due slots take the full
+        // check.  An issuable slot that was not picked re-checks only the
+        // shared LDST throttle and unit occupancy: its fetch, barrier and
+        // scoreboard state change only when it issues.  Every other
+        // stalled slot keeps its cached reason until earliest_.
+        uint64_t due = 0;
+        if (now - wheelNow >= wheelCycles) {
+            for (uint64_t &b : wheel) {
+                due |= b;
+                b = 0;
             }
-            nextEvent = std::min(nextEvent, earliest_[i]);
+        } else {
+            for (uint64_t t = wheelNow + 1; t <= now; t++) {
+                due |= wheel[t % wheelCycles];
+                wheel[t % wheelCycles] = 0;
+            }
+        }
+        wheelNow = now;
+        if (now >= farBound) {
+            const uint64_t waiting = far;
+            far = 0;
+            farBound = farFuture;
+            for (uint64_t m = waiting; m; m &= m - 1) {
+                const auto i = static_cast<uint32_t>(std::countr_zero(m));
+                if (earliest_[i] <= now)
+                    due |= 1ull << i;
+                else
+                    fileWakeUp(i, earliest_[i]);
+            }
+        }
+        // An entry outlives its stall if the slot was re-evaluated first
+        // (a barrier release marks slots dirty): keep only slots that are
+        // still stalled and due.
+        due &= active_ & ~issuable_ & ~dirty_;
+        for (uint64_t m = due; m; m &= m - 1) {
+            const auto i = static_cast<uint32_t>(std::countr_zero(m));
+            if (earliest_[i] > now)
+                due &= ~(1ull << i);
+        }
+        const uint64_t full = dirty_ | due;
+        dirty_ = 0;
+        for (uint64_t m = full | issuable_; m; m &= m - 1) {
+            const auto i = static_cast<uint32_t>(std::countr_zero(m));
+            const uint64_t bit = 1ull << i;
+            const Stall was = why_[i];
+            const bool ok =
+                (full & bit) ? issuableSlot(i, now, why_[i], earliest_[i])
+                             : unitsFree(*warps_[i].nextDec, now, why_[i],
+                                         earliest_[i]);
+            if (ok) {
+                issuable_ |= bit;
+            } else {
+                issuable_ &= ~bit;
+                fileWakeUp(i, earliest_[i]);
+            }
+            if (why_[i] != was) {
+                restall(i, was, why_[i]);
+                if (traceStalls)
+                    recordStall(i, was, why_[i], now);
+            }
         }
 
         // Issue up to issueWidth instructions.  With at least one issuable
-        // slot every scheduler finds one, so a pick() scan that would come
-        // back empty is skipped (its only state effect is replicated by
-        // notifyNoneIssuable).
+        // slot every policy finds one, so an empty pick() is skipped (its
+        // only state effect is replicated by notifyNoneIssuable).
         uint32_t issuedNow = 0;
         for (uint32_t k = 0; k < cfg_.issueWidth; k++) {
-            if (issuableCnt == 0) {
-                sched_->notifyNoneIssuable();
+            if (issuable_ == 0) {
+                sched_.notifyNoneIssuable();
                 break;
             }
-            const int pickIdx = sched_->pick(issuable_, ages_);
-            if (pickIdx < 0)
-                break;
-            issue(static_cast<uint32_t>(pickIdx), now);
-            // The picked slot was issuable, i.e. bucketed NotSelected.
-            stallCnt[static_cast<size_t>(Stall::NotSelected)]--;
-            issuableCnt--;
-            if (traceStalls) {
-                // NotSelected -> issued (-1 = no bucket).
-                recordStall(static_cast<uint32_t>(pickIdx),
-                            static_cast<int>(Stall::NotSelected), -1, now);
-            }
-            issuable_[pickIdx] = 0;
-            why_[pickIdx] = Stall::NumStalls;  // issued: no stall charged
-            if (activeF_[pickIdx]) {
-                evalDirty_[pickIdx] = 1;
-            } else {
-                // Retired with this issue: park the slot on the inactive
-                // sentinels so the per-cycle scan skips it.
-                evalDirty_[pickIdx] = 0;
-                earliest_[pickIdx] = farFuture;
-            }
+            const auto slot =
+                static_cast<uint32_t>(sched_.pick(issuable_, ages_));
+            const uint64_t bit = 1ull << slot;
+            // The picked slot was issuable, i.e. charged NotSelected at
+            // the pc it now leaves; issued, it is charged nothing.
+            restall(slot, Stall::NotSelected, Stall::NumStalls);
+            why_[slot] = Stall::NumStalls;
+            issue(slot, now);
+            if (traceStalls)
+                recordStall(slot, Stall::NotSelected, Stall::NumStalls, now);
+            issuable_ &= ~bit;
+            dirty_ |= bit & active_;        // unless it retired
             issuedNow++;
         }
 
-        // Determine how far we can fast-forward when nothing issued.
+        // Determine how far we can fast-forward when nothing issued: to
+        // the earliest wake-up of the (all stalled) live warps.
         uint64_t skip = 1;
         if (issuedNow == 0) {
+            uint64_t nextEvent = farFuture;
+            for (uint64_t m = active_; m; m &= m - 1)
+                nextEvent = std::min(nextEvent,
+                                     earliest_[std::countr_zero(m)]);
             if (nextEvent == farFuture) {
                 panic("deadlock in kernel %s at cycle %llu (all warps "
                       "waiting at barriers)",
@@ -627,22 +687,6 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
             skip = std::max<uint64_t>(1, nextEvent - now);
         }
 
-        // Stall accounting: every active, non-issued warp is charged its
-        // reason for each skipped cycle; the scheduler is active the whole
-        // time.
-        for (size_t s = 0; s < numStalls; s++)
-            stalls_[s] += stallCnt[s] * skip;
-        if (profiling_) {
-            // Per-PC attribution walk, mirroring bucketOf() exactly so the
-            // per-PC sums reproduce stalls_[] bit-for-bit: each stalled
-            // warp charges the pc of the instruction it is waiting to
-            // issue.
-            for (uint32_t i = 0; i < nSlots; i++) {
-                const int bkt = bucketOf(i);
-                if (bkt >= 0)
-                    pcStalls_[size_t(slotPc_[i]) * numStalls + bkt] += skip;
-            }
-        }
         raw_.sched += skip;
         now += skip;
 
@@ -668,6 +712,13 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
             }
             nextSample = now + samplePeriod;
         }
+    }
+
+    // Every live, non-issued warp was charged its reason for each cycle;
+    // the scheduler was active the whole time.
+    for (uint64_t m = active_; m; m &= m - 1) {
+        const auto i = static_cast<uint32_t>(std::countr_zero(m));
+        book(i, why_[i], now);
     }
 
     // --- fold raw counters into the stat set -----------------------------
@@ -719,7 +770,7 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
     st.set("mem.global_insts", double(raw_.globalMemInsts));
     for (size_t i = 0; i < numStalls; i++) {
         st.set(std::string("stall.") + stallName(static_cast<Stall>(i)),
-               static_cast<double>(stalls_[i]));
+               static_cast<double>(stallCycles[i]));
     }
     const CacheStats &l1s = l1d_->stats();
     st.set("mem.l1d.accesses", double(l1s.accesses));
@@ -742,9 +793,9 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
     if (hashing_) {
         // Warps still resident here (e.g. after a maxCycles truncation)
         // were never captured at retirement; sweep their partial digests.
-        for (const WarpSlot &w : warps_) {
-            if (w.exec && w.active)
-                streamHashes_[w.hashSlot] = w.exec->streamHash();
+        for (uint64_t m = active_; m; m &= m - 1) {
+            const WarpSlot &w = warps_[std::countr_zero(m)];
+            streamHashes_[w.hashSlot] = w.exec->streamHash();
         }
         // Same fold as runFunctionalOnly(): per-warp digests in launch
         // position, so the two executions are directly comparable.

@@ -160,6 +160,14 @@ struct CycleCapExceeded : std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** Thrown by Gpu::launch for a launch that would keep more warps
+ *  resident than the kMaxWarpSlots slots one SM schedules (a block of
+ *  more than 2048 threads).  Like CycleCapExceeded, it fails one job. */
+struct TooManyWarpSlots : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
+};
+
 /** One simulated SM executing a set of CTAs of a single kernel. */
 class SmCore
 {
@@ -220,19 +228,22 @@ class SmCore
         std::vector<uint8_t> smem;
         uint32_t liveWarps = 0;
         uint32_t barrierArrived = 0;
-        std::vector<uint32_t> warpSlots;
+        /** Warp slots the CTA launched live warps into (kept until the
+         *  CTA retires). */
+        uint64_t warpMask = 0;
     };
 
     struct WarpSlot
     {
         std::unique_ptr<WarpExec> exec;
-        std::vector<uint64_t> regReady;
-        std::vector<uint8_t> regPendKind;  // 0=alu 1=mem 2=const
         uint64_t fetchReady = 0;
+        /** When the scoreboard lets nextDec issue, and the stall until
+         *  then.  Only this warp's issues write its scoreboard, so both
+         *  are computed once per issue (scanScoreboard). */
+        uint64_t depReady = 0;
+        Stall depStall = Stall::ExecDependency;
         uint32_t cta = 0;
-        bool active = false;
         bool atBarrier = false;
-        uint64_t age = 0;
         /** Predecoded form of the next instruction to issue; refreshed
          *  after every issue so the scheduler's scoreboard scans touch no
          *  interpreter state. */
@@ -250,7 +261,11 @@ class SmCore
     void launchCta(const KernelLaunch &launch, uint64_t linear_id,
                    const std::vector<uint32_t> &warp_ids);
     bool issuableSlot(uint32_t slot, uint64_t now, Stall &why,
-                      uint64_t &earliest);
+                      uint64_t &earliest) const;
+    void scanScoreboard(uint32_t slot);
+    bool unitsFree(const DecodedInstr &d, uint64_t now, Stall &why,
+                   uint64_t &earliest) const;
+    void releaseBarrier(CtaSlot &cta);
     void issue(uint32_t slot, uint64_t now);
     uint64_t memoryLatency(const Step &st, uint64_t now, WarpSlot &w);
     void windowAccum(double pj, uint64_t now);
@@ -263,7 +278,7 @@ class SmCore
     trace::TraceSink *trace_ = nullptr;
     std::unique_ptr<Cache> l1d_;
     std::unique_ptr<Cache> constCache_;
-    std::unique_ptr<WarpScheduler> sched_;
+    WarpScheduler sched_;
 
     const KernelLaunch *launch_ = nullptr;
     /** Per-kernel predecoded program, owned by run() for its duration. */
@@ -281,14 +296,29 @@ class SmCore
     uint32_t liveWarpTotal_ = 0;
     uint32_t freeCtas_ = 0;
 
-    /** Dense per-slot mirrors of the scheduler-visible warp state.  The
-     *  per-cycle loops (eval, pick, stall accounting) touch only these
-     *  flat arrays instead of striding over the big WarpSlot structs. */
-    std::vector<uint8_t> activeF_;
-    std::vector<uint8_t> issuable_;
+    /**
+     * Scheduler-visible slot state, one bit per warp slot.  active_: the
+     * slot holds a live warp.  issuable_: its last evaluation found it
+     * able to issue.  dirty_: its own state changed (launch, issue,
+     * barrier release) since that evaluation.  A live slot in none of
+     * issuable_/dirty_ is stalled until earliest_[slot] (farFuture for a
+     * barrier wait); run() evaluates only dirty, issuable and due slots.
+     */
+    uint64_t active_ = 0;
+    uint64_t issuable_ = 0;
+    uint64_t dirty_ = 0;
+    /** Per-slot mirrors read by the cycle loop: the stall reason charged
+     *  (NumStalls = none: issued, or not yet evaluated), the cycle it
+     *  can end, and the warp's age for the scheduler. */
     std::vector<Stall> why_;
-    std::vector<uint64_t> ages_;
     std::vector<uint64_t> earliest_;
+    std::vector<uint64_t> ages_;
+
+    /** Scoreboard of every slot, flat: [slot * numRegs_ + reg] holds
+     *  (cycle the register's pending write lands) << 2 | what wrote it
+     *  (0 = ALU, 1 = memory, 2 = constant). */
+    uint32_t numRegs_ = 0;
+    std::vector<uint64_t> scoreboard_;
 
     // Unit occupancy (busy-until cycle), indexed by Unit.
     uint64_t unitBusy_[5] = {};
@@ -310,8 +340,6 @@ class SmCore
     };
 
     RawCounts raw_;
-    StatSet stats_;
-    StallCounts stalls_{};
 
     /** Per-PC attribution counters (SimPolicy::profile only).  Raw, like
      *  RawCounts; folded into a KernelProfile at the end of run().  All
@@ -325,12 +353,6 @@ class SmCore
     std::vector<uint64_t> pcL1dMiss_;
     std::vector<uint64_t> pcL2Miss_;
     std::vector<uint64_t> pcDram_;
-
-    /** Issuability re-evaluation flags: a warp whose cached stall reason
-     *  points to a far-future event is not re-scanned every cycle; it is
-     *  marked dirty when it issues, when its CTA's barrier releases, or
-     *  when it is (re)launched. */
-    std::vector<uint8_t> evalDirty_;
 
     // Peak-power window tracking.
     uint64_t windowStart_ = 0;

@@ -49,14 +49,13 @@ struct SimMetrics
     }
 };
 
-/** fatal() on a configError(): config sweeps and CLI flags get a clean
- *  diagnostic instead of an internal panic deep inside a launch. */
+/** Throw ConfigError on a configError(): a clean diagnostic instead of
+ *  an internal panic deep inside a launch. */
 void
 validateConfig(const GpuConfig &cfg)
 {
-    const std::string why = configError(cfg);
-    if (!why.empty())
-        fatal("invalid GPU config: %s", why.c_str());
+    if (const std::string why = configError(cfg); !why.empty())
+        throw ConfigError("invalid GPU config: " + why);
 }
 
 /** Runtime kill switch for launch memoization (TANGO_NO_MEMO=1).  Read on
@@ -313,6 +312,13 @@ Gpu::launch(const KernelLaunch &launch, const SimPolicy &requested)
         }
         if (!hasBar)
             warpsSampled = policy.maxWarpsPerCta;
+    }
+    if (uint64_t(resident) * warpsSampled > kMaxWarpSlots) {
+        throw TooManyWarpSlots(
+            "kernel " + launch.program->name + " would keep " +
+            std::to_string(resident) + " CTAs of " +
+            std::to_string(warpsSampled) + " warps resident, more than the " +
+            std::to_string(kMaxWarpSlots) + " warp slots one SM schedules");
     }
     std::vector<uint32_t> warpIds(warpsSampled);
     for (uint32_t i = 0; i < warpsSampled; i++)

@@ -31,7 +31,8 @@ namespace tango::sim {
 class Gpu
 {
   public:
-    /** @param cfg the platform to model. */
+    /** @param cfg the platform to model.
+     *  @throws ConfigError if configError() refuses @p cfg. */
     explicit Gpu(GpuConfig cfg);
 
     /** @return the device's global memory. */
@@ -46,6 +47,8 @@ class Gpu
      * worker reuse in rt::Engine).  Rebuilds the L2/DRAM memory system
      * unconditionally and cold-starts it, so no warm state or stale
      * cache geometry survives the switch.  Never call mid-launch.
+     * @throws ConfigError if configError() refuses @p cfg; the device
+     *         keeps its previous configuration.
      */
     void reconfigure(GpuConfig cfg);
 
@@ -61,6 +64,9 @@ class Gpu
      * at all.  Statistics are bit-identical either way.
      *
      * @return complete, scaled statistics including power.
+     * @throws TooManyWarpSlots if the launch would keep more than
+     *         kMaxWarpSlots warps resident; CycleCapExceeded past
+     *         SimPolicy::maxCycles.
      */
     KernelStats launch(const KernelLaunch &launch,
                        const SimPolicy &policy = {});

@@ -1,207 +1,80 @@
 #include "sim/scheduler.hh"
 
-#include <algorithm>
 #include <bit>
-#include <cstring>
 
 namespace tango::sim {
 
-namespace {
-
-/** Greedy-then-oldest. */
-class GtoScheduler : public WarpScheduler
+void
+WarpScheduler::reset(uint32_t num_slots)
 {
-  public:
-    void
-    reset(uint32_t num_slots) override
-    {
-        n_ = num_slots;
-        current_ = -1;
-    }
+    n_ = num_slots;
+    current_ = -1;
+    next_ = 0;
+    active_ = n_ >= tlvActiveSetSize ? (1ull << tlvActiveSetSize) - 1
+                                     : (1ull << n_) - 1;
+}
 
-    int
-    pick(const std::vector<uint8_t> &issuable,
-         const std::vector<uint64_t> &age) override
-    {
-        if (current_ >= 0 && static_cast<uint32_t>(current_) < n_ &&
-            issuable[current_]) {
-            return current_;
-        }
-        // Oldest-issuable scan.  Issuable slots are usually sparse, so the
-        // flag bytes are walked eight at a time and all-zero words skipped;
-        // visiting order (ascending slot) and the pick are unchanged.
+uint32_t
+WarpScheduler::rotate(uint64_t m) const
+{
+    const uint64_t ahead = m & (~0ull << next_);
+    return static_cast<uint32_t>(std::countr_zero(ahead ? ahead : m));
+}
+
+int
+WarpScheduler::pick(uint64_t issuable, const std::vector<uint64_t> &age)
+{
+    // Oldest set bit of m (ascending scan, first minimum wins), or -1.
+    const auto oldest = [&](uint64_t m) {
         int best = -1;
-        const uint8_t *flags = issuable.data();
-        uint32_t i = 0;
-        for (; i + 8 <= n_; i += 8) {
-            uint64_t word;
-            std::memcpy(&word, flags + i, 8);
-            while (word) {
-                const auto byte = static_cast<uint32_t>(
-                    std::countr_zero(word) >> 3);
-                const uint32_t slot = i + byte;
-                if (best < 0 || age[slot] < age[best])
-                    best = static_cast<int>(slot);
-                word &= ~(0xffull << (byte * 8));
-            }
-        }
-        for (; i < n_; i++) {
-            if (!issuable[i])
-                continue;
+        for (; m; m &= m - 1) {
+            const int i = std::countr_zero(m);
             if (best < 0 || age[i] < age[best])
-                best = static_cast<int>(i);
+                best = i;
         }
-        current_ = best;
         return best;
-    }
+    };
 
-    void
-    notifyNoneIssuable() override
-    {
-        current_ = -1;   // a failed pick() scan would have stored best = -1
-    }
-
-    void
-    notifyRetired(uint32_t slot) override
-    {
-        if (current_ == static_cast<int>(slot))
-            current_ = -1;
-    }
-
-  private:
-    uint32_t n_ = 0;
-    int current_ = -1;
-};
-
-/** Loose round-robin. */
-class LrrScheduler : public WarpScheduler
-{
-  public:
-    void
-    reset(uint32_t num_slots) override
-    {
-        n_ = num_slots;
-        next_ = 0;
-    }
-
-    int
-    pick(const std::vector<uint8_t> &issuable,
-         const std::vector<uint64_t> &) override
-    {
-        for (uint32_t k = 0; k < n_; k++) {
-            const uint32_t i = (next_ + k) % n_;
-            if (issuable[i]) {
-                next_ = (i + 1) % n_;
-                return static_cast<int>(i);
-            }
-        }
-        return -1;
-    }
-
-  private:
-    uint32_t n_ = 0;
-    uint32_t next_ = 0;
-};
-
-/** Two-level: round-robin within a small active set; a warp issuing a
- *  long-latency operation is demoted and the oldest pending warp promoted. */
-class TlvScheduler : public WarpScheduler
-{
-  public:
-    static constexpr uint32_t activeSetSize = 8;
-
-    void
-    reset(uint32_t num_slots) override
-    {
-        n_ = num_slots;
-        next_ = 0;
-        active_.assign(n_, 0);
-        for (uint32_t i = 0; i < n_ && i < activeSetSize; i++)
-            active_[i] = 1;
-    }
-
-    int
-    pick(const std::vector<uint8_t> &issuable,
-         const std::vector<uint64_t> &age) override
-    {
-        // Round-robin over the active set.
-        for (uint32_t k = 0; k < n_; k++) {
-            const uint32_t i = (next_ + k) % n_;
-            if (active_[i] && issuable[i]) {
-                next_ = (i + 1) % n_;
-                return static_cast<int>(i);
-            }
+    switch (policy_) {
+      case SchedPolicy::GTO:
+        // Greedy: stay on the current warp while it can issue.
+        if (current_ < 0 || !((issuable >> current_) & 1))
+            current_ = oldest(issuable);
+        return current_;
+      case SchedPolicy::LRR:
+        if (!issuable)
+            return -1;
+        break;
+      case SchedPolicy::TLV: {
+        // Round-robin over the active set while any of it can issue.
+        if (issuable & active_) {
+            issuable &= active_;
+            break;
         }
         // Active set fully stalled: promote the oldest issuable pending
-        // warp (demoting a stalled active one) and issue from it.
-        int promote = -1;
-        for (uint32_t i = 0; i < n_; i++) {
-            if (active_[i] || !issuable[i])
-                continue;
-            if (promote < 0 || age[i] < age[promote])
-                promote = static_cast<int>(i);
-        }
+        // warp, demoting the first active one at or after the pointer
+        // when the set is full, and issue from it.
+        const int promote = oldest(issuable);
         if (promote < 0)
             return -1;
-        demoteOne();
-        active_[promote] = 1;
-        next_ = (promote + 1) % n_;
+        if (std::popcount(active_) >= int(tlvActiveSetSize))
+            active_ &= ~(1ull << rotate(active_));
+        active_ |= 1ull << promote;
+        next_ = (static_cast<uint32_t>(promote) + 1) % n_;
         return promote;
+      }
     }
+    const uint32_t slot = rotate(issuable);
+    next_ = (slot + 1) % n_;
+    return static_cast<int>(slot);
+}
 
-    void
-    notifyLongLatency(uint32_t slot) override
-    {
-        // Demote; promotion happens lazily in pick().
-        if (slot < n_)
-            active_[slot] = 0;
-    }
-
-    void
-    notifyRetired(uint32_t slot) override
-    {
-        if (slot < n_)
-            active_[slot] = 0;
-    }
-
-  private:
-    void
-    demoteOne()
-    {
-        uint32_t count = 0;
-        for (uint32_t i = 0; i < n_; i++)
-            count += active_[i];
-        if (count < activeSetSize)
-            return;
-        // Demote the slot after the RR pointer (round-robin victim).
-        for (uint32_t k = 0; k < n_; k++) {
-            const uint32_t i = (next_ + k) % n_;
-            if (active_[i]) {
-                active_[i] = 0;
-                return;
-            }
-        }
-    }
-
-    uint32_t n_ = 0;
-    uint32_t next_ = 0;
-    std::vector<uint8_t> active_;
-};
-
-} // namespace
-
-std::unique_ptr<WarpScheduler>
-makeScheduler(SchedPolicy policy)
+void
+WarpScheduler::notifyRetired(uint32_t slot)
 {
-    switch (policy) {
-      case SchedPolicy::GTO:
-        return std::make_unique<GtoScheduler>();
-      case SchedPolicy::LRR:
-        return std::make_unique<LrrScheduler>();
-      case SchedPolicy::TLV:
-        return std::make_unique<TlvScheduler>();
-    }
-    return std::make_unique<GtoScheduler>();
+    if (current_ == static_cast<int>(slot))
+        current_ = -1;
+    active_ &= ~(1ull << slot);
 }
 
 } // namespace tango::sim

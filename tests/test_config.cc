@@ -39,6 +39,20 @@ TEST(Config, PlatformOrdering)
     EXPECT_GT(tx.dramIssueInterval, gp.dramIssueInterval);
 }
 
+TEST(Config, RefusesMoreWarpSlotsThanTheSchedulerMasks)
+{
+    // Every preset fits the 64-slot masks one SM schedules from.
+    for (const GpuConfig &cfg : {pascalGP102(), keplerGK210(), maxwellTX1()})
+        EXPECT_EQ(configError(cfg), "") << cfg.name;
+
+    GpuConfig cfg = pascalGP102();
+    cfg.maxWarpsPerSm = kMaxWarpSlots;
+    EXPECT_EQ(configError(cfg), "");
+    cfg.maxWarpsPerSm = kMaxWarpSlots + 1;
+    EXPECT_EQ(configError(cfg),
+              "maxWarpsPerSm 65 exceeds the 64 warp slots one SM schedules");
+}
+
 TEST(Config, SchedulerNames)
 {
     EXPECT_STREQ(schedName(SchedPolicy::GTO), "gto");

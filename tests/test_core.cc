@@ -242,6 +242,25 @@ TEST(Core, ConstCacheStallsClassified)
     EXPECT_GT(ks.stats.get("stall.constant_memory_dependency"), 0.0);
 }
 
+TEST(Core, LaunchWiderThanTheSlotMasksThrows)
+{
+    // A 4096-thread block is 128 warps: one resident CTA (the occupancy
+    // floor) would need more warp slots than the scheduler masks hold.
+    Gpu gpu(pascalGP102());
+    const KernelLaunch wide = chainKernel(4, {2, 1, 1}, {4096, 1, 1});
+    SimPolicy full;
+    full.fullSim = true;
+    EXPECT_THROW(gpu.launch(wide, full), TooManyWarpSlots);
+
+    // Sampling 6 of its warps fits, and the device keeps working.
+    SimPolicy sampled;
+    sampled.maxWarpsPerCta = 6;
+    const auto ks = gpu.launch(wide, sampled);
+    EXPECT_EQ(ks.sampledWarpsPerCta, 6u);
+    EXPECT_EQ(ks.residentCtas, 1u);
+    EXPECT_GT(ks.smCycles, 0u);
+}
+
 TEST(Core, ActiveSmEstimate)
 {
     Gpu gpu(pascalGP102());

@@ -190,6 +190,27 @@ TEST(Engine, InvalidSpecFailsOnlyItsJob)
     expectCacheAccounted(e, 2);
 }
 
+TEST(Engine, UnbuildableConfigFailsOnlyItsJob)
+{
+    // One worker, so the good job reuses the worker whose Gpu refused
+    // the bad config.
+    Engine e = makeEngine(1);
+    JobSpec bad{"cifarnet"};
+    bad.l1dBytes = 1;   // smaller than one L1D set
+    ASSERT_FALSE(bad.validate().empty());
+    try {
+        e.run(bad);
+        FAIL() << "an unbuildable config ran";
+    } catch (const sim::ConfigError &err) {
+        EXPECT_EQ(std::string(err.what()), bad.validate());
+    }
+    EXPECT_EQ(e.cacheStats().failures, 1u);
+
+    const rt::NetRun &after = e.run(JobSpec{"cifarnet"});
+    EXPECT_GT(after.totalTimeSec, 0.0);
+    expectCacheAccounted(e, 2);
+}
+
 TEST(Engine, DiskSpillRoundTrips)
 {
     const std::string path =

@@ -169,32 +169,50 @@ TEST(Runtime, NamedPolicyRoundTripsThroughNames)
         (void)RunPolicy::named(n);
 }
 
+/** EXPECT_THROW that also checks the ConfigError message starts with
+ *  @p prefix. */
+template <typename F>
+void
+expectConfigError(F &&f, const std::string &prefix)
+{
+    try {
+        f();
+        ADD_FAILURE() << "no ConfigError; expected " << prefix;
+    } catch (const sim::ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+    }
+}
+
 TEST(Runtime, ReconfigureRejectsInvalidConfig)
 {
     sim::Gpu gpu(sim::pascalGP102());
 
     sim::GpuConfig noSms = sim::pascalGP102();
     noSms.numSms = 0;
-    EXPECT_EXIT(gpu.reconfigure(noSms), ::testing::ExitedWithCode(1),
-                "invalid GPU config: numSms");
+    EXPECT_THROW(gpu.reconfigure(noSms), sim::ConfigError);
+    expectConfigError([&] { gpu.reconfigure(noSms); },
+                      "invalid GPU config: numSms");
 
     sim::GpuConfig tinyL2 = sim::pascalGP102();
     tinyL2.l2Bytes = 64;   // smaller than one set of 16-way 128B lines
-    EXPECT_EXIT(gpu.reconfigure(tinyL2), ::testing::ExitedWithCode(1),
-                "invalid GPU config: l2Bytes");
+    expectConfigError([&] { gpu.reconfigure(tinyL2); },
+                      "invalid GPU config: l2Bytes");
 
     sim::GpuConfig zeroClock = sim::pascalGP102();
     zeroClock.coreClockGhz = 0.0;
-    EXPECT_EXIT(gpu.reconfigure(zeroClock), ::testing::ExitedWithCode(1),
-                "invalid GPU config: coreClockGhz");
+    expectConfigError([&] { gpu.reconfigure(zeroClock); },
+                      "invalid GPU config: coreClockGhz");
+
+    // A refused config leaves the device as it was.
+    EXPECT_EQ(gpu.config().numSms, sim::pascalGP102().numSms);
 }
 
-TEST(Runtime, ConstructingGpuWithInvalidConfigIsFatal)
+TEST(Runtime, ConstructingGpuWithInvalidConfigThrows)
 {
     sim::GpuConfig bad = sim::pascalGP102();
     bad.dramIssueInterval = 0.0;
-    EXPECT_EXIT(sim::Gpu{bad}, ::testing::ExitedWithCode(1),
-                "invalid GPU config: dramIssueInterval");
+    expectConfigError([&] { sim::Gpu gpu{bad}; },
+                      "invalid GPU config: dramIssueInterval");
 }
 
 TEST(Runtime, ReconfigureValidConfigStillRuns)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Weight store tests: determinism, per-layer independence, weight-file
- * round trip.
+ * round trip, parameter counts from shapes.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +43,39 @@ TEST(Weights, PerLayerStreamsIndependent)
     for (uint64_t j = 0; j < std::min(w1.size(), w2.size()); j++)
         differ |= (w1[j] != w2[j]);
     EXPECT_TRUE(differ);
+}
+
+TEST(Weights, ParamCountFromShapesMatchesInitializedTensors)
+{
+    // paramCount() reads the shapes; it must count exactly the elements
+    // initWeights() allocates, for every layer of every network.
+    for (const std::string &name : models::runnableNames()) {
+        SCOPED_TRACE(name);
+        AnyModel model = models::buildAny(name);
+        if (model.isRnn()) {
+            RnnModel &m = model.rnn();
+            const uint64_t fromShape = m.paramCount();
+            initWeights(m);
+            EXPECT_EQ(fromShape,
+                      m.weights.size() + m.fcW.size() + m.fcB.size());
+            continue;
+        }
+        Network &net = model.cnn();
+        std::vector<uint64_t> fromShape;
+        for (const Layer &l : net.layers())
+            fromShape.push_back(l.paramCount());
+        initWeights(net);
+        uint64_t total = 0;
+        for (size_t i = 0; i < net.layers().size(); i++) {
+            const Layer &l = net.layers()[i];
+            const uint64_t tensors = l.weights.size() + l.biasT.size() +
+                                     l.mean.size() + l.var.size() +
+                                     l.gamma.size() + l.betaT.size();
+            EXPECT_EQ(fromShape[i], tensors) << l.name;
+            total += tensors;
+        }
+        EXPECT_EQ(net.totalParams(), total);
+    }
 }
 
 TEST(Weights, HeInitScale)
