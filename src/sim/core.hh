@@ -245,8 +245,8 @@ class SmCore
         uint32_t cta = 0;
         bool atBarrier = false;
         /** Predecoded form of the next instruction to issue; refreshed
-         *  after every issue so the scheduler's scoreboard scans touch no
-         *  interpreter state. */
+         *  after every issue so the scoreboard scan and the unit checks
+         *  touch no interpreter state. */
         const DecodedInstr *nextDec = nullptr;
         /** Index into streamHashes_ (launch-position keyed, stable across
          *  slot reuse); only meaningful while hashing_ is set. */

@@ -11,7 +11,6 @@
 #ifndef TANGO_SIM_STALL_HH
 #define TANGO_SIM_STALL_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,9 +35,6 @@ inline constexpr size_t numStalls = static_cast<size_t>(Stall::NumStalls);
 
 /** @return nvprof-style name ("memory_dependency", ...). */
 const char *stallName(Stall s);
-
-/** Fixed-size stall counter array. */
-using StallCounts = std::array<uint64_t, numStalls>;
 
 } // namespace tango::sim
 
