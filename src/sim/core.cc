@@ -513,10 +513,11 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
     // warp is NotSelected) from cycle t0 until t1 adds t1 - t0 cycles to
     // r, booked as -t0 when it moves into r and +t1 when it moves out
     // (unsigned arithmetic wraps back to the exact sum), so a cycle costs
-    // nothing for the warps that keep their reason.  Warps still charged
-    // when the kernel ends move out at its last cycle.  The per-PC profile
-    // books the same intervals under the pc the warp waits at, which
-    // changes only when it issues.  NumStalls ("not charged") is a sink.
+    // nothing for the warps that keep their reason.  Every warp moves out
+    // when it issues its last instruction, so the sums are complete when
+    // the kernel ends.  The per-PC profile books the same intervals under
+    // the pc the warp waits at, which changes only when it issues.
+    // NumStalls ("not charged") is a sink.
     uint64_t stallCycles[numStalls + 1] = {};
     uint64_t now = 0;
     const auto book = [&](uint32_t slot, Stall r, uint64_t cycles) {
@@ -712,13 +713,6 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
             }
             nextSample = now + samplePeriod;
         }
-    }
-
-    // Every live, non-issued warp was charged its reason for each cycle;
-    // the scheduler was active the whole time.
-    for (uint64_t m = active_; m; m &= m - 1) {
-        const auto i = static_cast<uint32_t>(std::countr_zero(m));
-        book(i, why_[i], now);
     }
 
     // --- fold raw counters into the stat set -----------------------------
