@@ -229,6 +229,18 @@ assert total("tango_serve_latency_us_count") == served, series
 assert total("tango_serve_invalid_total") == stats["invalid"], (series, stats)
 assert total("tango_serve_failures_total") == stats["failures"], \
     (series, stats)
+# The engine's cache counters and the request counts agree with the
+# stats reply.  The stats frame counted itself in stats["requests"];
+# the metrics frame counted itself before this scrape was rendered.
+for result, key in (("mem_hit", "cache_mem_hits"),
+                    ("disk_hit", "cache_disk_hits"),
+                    ("miss", "cache_misses")):
+    got = series.get('tango_engine_cache_total{result="%s"}' % result, 0)
+    assert got == stats[key], (result, got, stats)
+assert total("tango_serve_requests_total") == stats["requests"] + 1, \
+    (series, stats)
+assert total("tango_serve_run_requests_total") == stats["run_requests"], \
+    (series, stats)
 print("metrics scrape: %d served == tier sum, %d rejects, queue drained"
       % (served, rejects))
 EOF

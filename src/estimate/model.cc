@@ -30,26 +30,6 @@ const char *const kTargetNames[kNumTargets] = {
     "cycles", "stalls", "l1dMisses", "l2Misses", "dramAccesses", "energyJ",
 };
 
-/** Parameter elements from the layer *description* — Layer::paramCount()
- *  counts loaded tensors, which timing-only model builds leave empty. */
-uint64_t
-paramElems(const nn::Layer &l)
-{
-    switch (l.kind) {
-    case nn::LayerKind::Conv:
-        return uint64_t(l.K) * l.C * l.R * l.S + (l.bias ? l.K : 0);
-    case nn::LayerKind::Depthwise:
-        return uint64_t(l.C) * l.R * l.S + (l.bias ? l.C : 0);
-    case nn::LayerKind::FC:
-        return uint64_t(l.outN) * l.inN + (l.bias ? l.outN : 0);
-    case nn::LayerKind::BatchNorm:
-    case nn::LayerKind::Scale:
-        return 2ull * l.C;
-    default:
-        return 0;
-    }
-}
-
 } // namespace
 
 // ---------------------------------------------------------------- families
@@ -142,7 +122,7 @@ layerFeatures(const nn::Layer &l)
     f.v[1] = double(l.outputSize());
     f.v[2] = fcShaped ? double(l.inN)
                       : double(uint64_t(l.C) * l.H * l.W);
-    f.v[3] = double(paramElems(l));
+    f.v[3] = double(l.paramCount());
     f.v[4] = double(gridCtas * tileKernels * filterKernels);
     f.v[5] = double(threads);
     f.v[6] = double(std::max<uint64_t>(1, uint64_t(l.R) * l.S));

@@ -108,7 +108,7 @@ HistogramSnapshot::percentileLower(double p) const
 
 // --------------------------------------------------------------- Histogram
 
-Histogram::Histogram()
+Histogram::Histogram(Histogram *total) : total_(total)
 {
     for (auto &b : buckets_)
         b.store(0, std::memory_order_relaxed);

@@ -46,15 +46,30 @@ namespace tango::metrics {
 using Label = std::pair<std::string, std::string>;
 using Labels = std::vector<Label>;
 
-/** A monotonically increasing counter. */
+/**
+ * A monotonically increasing counter.  One built with a @p total (a
+ * registry series) is a per-instance instrument: every inc() also adds
+ * to the total, so an event is counted once, at one site, yet shows both
+ * in its owner's view (one Server, one Engine) and in the process-wide
+ * scrape.  Registry instruments have no total.
+ */
 class Counter
 {
   public:
-    void inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+    Counter() = default;
+    explicit Counter(Counter *total) : total_(total) {}
+
+    void inc(uint64_t n = 1)
+    {
+        v_.fetch_add(n, std::memory_order_relaxed);
+        if (total_)
+            total_->inc(n);
+    }
     uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
   private:
     std::atomic<uint64_t> v_{0};
+    Counter *const total_ = nullptr;
 };
 
 /** A level that can move both ways (queue depths, in-flight work). */
@@ -113,16 +128,19 @@ struct HistogramSnapshot
 };
 
 /** A fixed-log2-bucket histogram over non-negative integer values
- *  (microseconds, milliseconds — the name carries the unit). */
+ *  (microseconds, milliseconds — the name carries the unit).  Like a
+ *  Counter, one built with a @p total also observes into it. */
 class Histogram
 {
   public:
-    Histogram();
+    explicit Histogram(Histogram *total = nullptr);
 
     void observe(uint64_t v)
     {
         buckets_[Buckets::index(v)].fetch_add(1, std::memory_order_relaxed);
         sum_.fetch_add(v, std::memory_order_relaxed);
+        if (total_)
+            total_->observe(v);
     }
 
     HistogramSnapshot snapshot() const;
@@ -130,6 +148,7 @@ class Histogram
   private:
     std::atomic<uint64_t> buckets_[Buckets::kCount];
     std::atomic<uint64_t> sum_{0};
+    Histogram *const total_;
 };
 
 /**

@@ -16,10 +16,12 @@ namespace tango::rt {
 
 namespace {
 
-/** Process-wide engine instruments (see metrics.hh).  Every Engine in
- *  the process feeds the same series — counters are monotonic across
- *  engines and the in-flight gauge moves by deltas, so the composition
- *  stays coherent; per-engine exact counts remain in CacheStats. */
+/** The process-wide engine series (see metrics.hh), interned once so
+ *  that building an Engine stays cheap: cold benchmark rounds and tests
+ *  build one per run.  Each Engine's Counters feed the six counters;
+ *  the in-flight gauge and the wall-time histogram have no per-engine
+ *  view (the gauge moves by deltas, so its sum over engines stays
+ *  coherent). */
 struct EngineMetrics
 {
     metrics::Counter &memHits, &diskHits, &misses, &failures;
@@ -100,6 +102,16 @@ struct Engine::Slot
     std::unique_ptr<NetRun> result;   ///< stable address for references
 };
 
+Engine::Counters::Counters()
+    : memHits(&EngineMetrics::get().memHits),
+      diskHits(&EngineMetrics::get().diskHits),
+      misses(&EngineMetrics::get().misses),
+      failures(&EngineMetrics::get().failures),
+      tierSim(&EngineMetrics::get().tierSim),
+      tierEstimate(&EngineMetrics::get().tierEstimate)
+{
+}
+
 Engine::Engine(EngineOptions opt)
     : opt_(std::move(opt)), pool_(opt_.threads)
 {
@@ -152,11 +164,10 @@ Engine::execute(const std::shared_ptr<Slot> &slot)
         inflight_--;
         slot->promise.set_value(slot->result.get());
     } catch (...) {
-        em.failures.inc();
+        counters_.failures.inc();
         em.inflight.sub();
         std::unique_lock<std::mutex> lock(mu_);
         slot->fn = nullptr;
-        stats_.failures++;
         inflight_--;
         // Evict so a retry re-simulates; waiters holding the shared
         // future still see the exception through the shared state.
@@ -169,12 +180,10 @@ Engine::Submitted
 Engine::admit(const std::string &key, const sim::GpuConfig &cfg, JobFn fn,
               const JobSpec *spec, unsigned maxInFlight)
 {
-    EngineMetrics &em = EngineMetrics::get();
     Submitted out;
     auto it = slots_.find(key);
     if (it != slots_.end()) {
-        stats_.memHits++;
-        em.memHits.inc();
+        counters_.memHits.inc();
         out.served = it->second->result ? Submitted::Served::MemHit
                                         : Submitted::Served::Joined;
         out.future = it->second->future;
@@ -192,8 +201,7 @@ Engine::admit(const std::string &key, const sim::GpuConfig &cfg, JobFn fn,
     out.future = slot->future;
     if (disk != disk_.end()) {
         // Recalled from the JSON spill: resolve immediately.
-        stats_.diskHits++;
-        em.diskHits.inc();
+        counters_.diskHits.inc();
         out.served = Submitted::Served::DiskHit;
         slot->result = std::make_unique<NetRun>(std::move(disk->second));
         disk_.erase(disk);
@@ -202,10 +210,9 @@ Engine::admit(const std::string &key, const sim::GpuConfig &cfg, JobFn fn,
         return out;
     }
 
-    stats_.misses++;
+    counters_.misses.inc();
     inflight_++;
-    em.misses.inc();
-    em.inflight.add();
+    EngineMetrics::get().inflight.add();
     out.served = Submitted::Served::Simulated;
     if (fn)
         slot->fn = std::move(fn);
@@ -224,15 +231,9 @@ Engine::submitJob(const JobSpec &spec, unsigned maxInFlight, JobFn fn)
     const std::string key = job.cacheKey().str;
     const sim::GpuConfig cfg = job.gpuConfig();
 
-    EngineMetrics &em = EngineMetrics::get();
+    (job.tier == Tier::Estimate ? counters_.tierEstimate : counters_.tierSim)
+        .inc();
     std::unique_lock<std::mutex> lock(mu_);
-    if (job.tier == Tier::Estimate) {
-        stats_.tierEstimate++;
-        em.tierEstimate.inc();
-    } else {
-        stats_.tierSim++;
-        em.tierSim.inc();
-    }
     return admit(key, cfg, std::move(fn), &job, maxInFlight);
 }
 
@@ -306,35 +307,21 @@ Engine::flush()
 void
 Engine::logCacheStats()
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (statsLogged_)
+    if (statsLogged_.exchange(true))
         return;
-    statsLogged_ = true;
-    const CacheStats &s = stats_;
-    if (s.memHits + s.diskHits + s.misses + s.failures == 0)
+    using ull = unsigned long long;
+    const Counters &c = counters_;
+    const ull mem = c.memHits.value(), disk = c.diskHits.value();
+    const ull miss = c.misses.value(), fail = c.failures.value();
+    if (mem + disk + miss + fail == 0)
         return;   // nothing ran: nothing worth logging
     inform("engine: cache %llu mem hit%s, %llu disk hit%s, "
            "%llu miss%s (simulated), %llu failure%s",
-           static_cast<unsigned long long>(s.memHits),
-           s.memHits == 1 ? "" : "s",
-           static_cast<unsigned long long>(s.diskHits),
-           s.diskHits == 1 ? "" : "s",
-           static_cast<unsigned long long>(s.misses),
-           s.misses == 1 ? "" : "es",
-           static_cast<unsigned long long>(s.failures),
-           s.failures == 1 ? "" : "s");
-    if (s.tierSim + s.tierEstimate > 0) {
-        inform("engine: tiers %llu sim, %llu estimate",
-               static_cast<unsigned long long>(s.tierSim),
-               static_cast<unsigned long long>(s.tierEstimate));
-    }
-}
-
-Engine::CacheStats
-Engine::cacheStats() const
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    return stats_;
+           mem, mem == 1 ? "" : "s", disk, disk == 1 ? "" : "s", miss,
+           miss == 1 ? "" : "es", fail, fail == 1 ? "" : "s");
+    const ull sim = c.tierSim.value(), est = c.tierEstimate.value();
+    if (sim + est > 0)
+        inform("engine: tiers %llu sim, %llu estimate", sim, est);
 }
 
 Engine &

@@ -19,6 +19,7 @@
 #ifndef TANGO_RUNTIME_ENGINE_HH
 #define TANGO_RUNTIME_ENGINE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "metrics/metrics.hh"
 #include "runtime/job.hh"
 #include "runtime/runtime.hh"
 #include "sim/config.hh"
@@ -153,18 +155,21 @@ class Engine
     /** @return the worker count. */
     unsigned threads() const { return pool_.threadCount(); }
 
-    /** Cache effectiveness counters (for logs and tests). */
-    struct CacheStats
+    /** This engine's cache and job counters (for logs, the serve stats
+     *  reply and tests).  Each is bound to its process-wide
+     *  tango_engine_* registry series, so one update feeds both. */
+    struct Counters
     {
-        uint64_t memHits = 0;    ///< key already resident
-        uint64_t diskHits = 0;   ///< recalled from the JSON spill
-        uint64_t misses = 0;     ///< actually simulated
-        uint64_t failures = 0;   ///< jobs that threw
+        Counters();
+
+        metrics::Counter memHits;    ///< key already resident
+        metrics::Counter diskHits;   ///< recalled from the JSON spill
+        metrics::Counter misses;     ///< actually simulated
+        metrics::Counter failures;   ///< jobs that threw
         // Per-tier JobSpec counts (custom-key jobs have no tier).
-        uint64_t tierSim = 0;
-        uint64_t tierEstimate = 0;
+        metrics::Counter tierSim, tierEstimate;
     };
-    CacheStats cacheStats() const;
+    const Counters &counters() const { return counters_; }
 
     /** Log the cache counters once at info level (repeat calls are
      *  no-ops).  Run by the destructor and, for global(), at exit — so
@@ -191,10 +196,10 @@ class Engine
     mutable std::mutex mu_;
     std::map<std::string, std::shared_ptr<Slot>> slots_;
     std::map<std::string, NetRun> disk_;   ///< loaded, not-yet-claimed spill
-    CacheStats stats_;
+    Counters counters_;
     unsigned inflight_ = 0;   ///< simulations submitted but not finished
     bool dirty_ = false;   ///< new results since the last flush
-    bool statsLogged_ = false;   ///< logCacheStats() once-guard
+    std::atomic<bool> statsLogged_{false};   ///< logCacheStats() once-guard
 
     ThreadPool pool_;   ///< declared last: joins before members die
 };

@@ -21,53 +21,32 @@ namespace tango::serve {
 
 namespace {
 
-/** Process-wide serve instruments.  The registry view is cumulative
- *  across every Server in the process (one, for the daemon); the
- *  per-server Metrics struct remains the stats-reply source so tests
- *  with several servers still see exact per-server counts. */
-struct ServeMetrics
+// The labelled tango_serve_* families, one series per label value.
+metrics::Counter &
+rejects(const char *reason)
 {
-    metrics::Counter &requests, &invalid, &runRequests, &failures;
-    metrics::Counter &rejectQueueFull, &rejectDraining;
-    metrics::Counter &servedSim, &servedJoin, &servedMem, &servedDisk;
-    metrics::Counter &tierSim, &tierEstimate;
-    metrics::Histogram &latencyUs;
+    return metrics::counter("tango_serve_rejects_total",
+                            "Run requests rejected, by reason",
+                            {{"reason", reason}});
+}
 
-    static ServeMetrics &get()
-    {
-        static constexpr const char *kRej = "tango_serve_rejects_total";
-        static constexpr const char *kRejHelp =
-            "Run requests rejected, by reason";
-        static constexpr const char *kSrv = "tango_serve_served_total";
-        static constexpr const char *kSrvHelp =
-            "Run requests served, by how the engine satisfied them";
-        static constexpr const char *kTier = "tango_serve_tier_total";
-        static constexpr const char *kTierHelp =
-            "Admitted run requests by requested accuracy tier";
-        static ServeMetrics m{
-            metrics::counter("tango_serve_requests_total",
-                             "Frames parsed successfully"),
-            metrics::counter("tango_serve_invalid_total",
-                             "Malformed frames or invalid job specs"),
-            metrics::counter("tango_serve_run_requests_total",
-                             "Run requests received"),
-            metrics::counter("tango_serve_failures_total",
-                             "Admitted runs whose simulation threw"),
-            metrics::counter(kRej, kRejHelp, {{"reason", "queue_full"}}),
-            metrics::counter(kRej, kRejHelp, {{"reason", "draining"}}),
-            metrics::counter(kSrv, kSrvHelp, {{"how", "sim"}}),
-            metrics::counter(kSrv, kSrvHelp, {{"how", "join"}}),
-            metrics::counter(kSrv, kSrvHelp, {{"how", "mem"}}),
-            metrics::counter(kSrv, kSrvHelp, {{"how", "disk"}}),
-            metrics::counter(kTier, kTierHelp, {{"tier", "sim"}}),
-            metrics::counter(kTier, kTierHelp, {{"tier", "estimate"}}),
-            metrics::histogram("tango_serve_latency_us",
-                               "End-to-end latency of admitted run "
-                               "requests in microseconds"),
-        };
-        return m;
-    }
-};
+metrics::Counter &
+served(const char *how)
+{
+    return metrics::counter(
+        "tango_serve_served_total",
+        "Run requests served, by how the engine satisfied them",
+        {{"how", how}});
+}
+
+metrics::Counter &
+tier(const char *name)
+{
+    return metrics::counter("tango_serve_tier_total",
+                            "Admitted run requests by requested accuracy "
+                            "tier",
+                            {{"tier", name}});
+}
 
 double
 nowMs()
@@ -90,6 +69,26 @@ ServerOptions::fromEnv()
         static_cast<unsigned>(envUint("TANGO_SERVE_QUEUE_MAX", 32));
     opt.engine = rt::EngineOptions::fromEnv();
     return opt;
+}
+
+Server::Counters::Counters()
+    : requests(&metrics::counter("tango_serve_requests_total",
+                                 "Frames parsed successfully")),
+      invalid(&metrics::counter("tango_serve_invalid_total",
+                                "Malformed frames or invalid job specs")),
+      runRequests(&metrics::counter("tango_serve_run_requests_total",
+                                    "Run requests received")),
+      rejectedQueueFull(&rejects("queue_full")),
+      rejectedDraining(&rejects("draining")),
+      servedSim(&served("sim")), servedJoin(&served("join")),
+      servedMem(&served("mem")), servedDisk(&served("disk")),
+      failures(&metrics::counter("tango_serve_failures_total",
+                                 "Admitted runs whose simulation threw")),
+      tierSim(&tier("sim")), tierEstimate(&tier("estimate")),
+      latencyUs(&metrics::histogram("tango_serve_latency_us",
+                                    "End-to-end latency of admitted run "
+                                    "requests in microseconds"))
+{
 }
 
 Server::Server(ServerOptions opt)
@@ -265,19 +264,13 @@ Server::handleRequest(const std::string &payload)
     Request req;
     std::string why;
     if (!parseRequest(payload, req, &why)) {
-        ServeMetrics::get().invalid.inc();
-        std::unique_lock<std::mutex> lock(mu_);
-        metrics_.invalid++;
+        counters_.invalid.inc();
         rt::JobResult res;
         res.ok = false;
         res.error = "bad request: " + why;
         return makeResultResponse(0, res);
     }
-    ServeMetrics::get().requests.inc();
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        metrics_.requests++;
-    }
+    counters_.requests.inc();
     switch (req.type) {
     case Request::Type::Ping:
         return "{\"type\":\"pong\"}";
@@ -312,14 +305,12 @@ Server::handleRun(const Request &req)
         return makeResultResponse(req.id, res);
     };
 
-    ServeMetrics::get().runRequests.inc();
+    counters_.runRequests.inc();
     {
         std::unique_lock<std::mutex> lock(mu_);
-        metrics_.runRequests++;
         if (draining_) {
-            metrics_.rejectedDraining++;
             lock.unlock();
-            ServeMetrics::get().rejectDraining.inc();
+            counters_.rejectedDraining.inc();
             return reject("draining");
         }
         activeRuns_++;
@@ -335,10 +326,7 @@ Server::handleRun(const Request &req)
     if (why.empty() && req.job.trace)
         why = "traced jobs are not served (use tango-trace locally)";
     if (!why.empty()) {
-        ServeMetrics::get().invalid.inc();
-        std::unique_lock<std::mutex> lock(mu_);
-        metrics_.invalid++;
-        lock.unlock();
+        counters_.invalid.inc();
         release();
         return reject("bad request: " + why);
     }
@@ -354,38 +342,20 @@ Server::handleRun(const Request &req)
 
     using Served = rt::Engine::Submitted::Served;
     if (sub.served == Served::Rejected) {
-        ServeMetrics::get().rejectQueueFull.inc();
-        std::unique_lock<std::mutex> lock(mu_);
-        metrics_.rejectedQueueFull++;
-        lock.unlock();
+        counters_.rejectedQueueFull.inc();
         release();
         return reject("queue_full");
     }
-    ServeMetrics &sm = ServeMetrics::get();
     switch (sub.served) {
-    case Served::Simulated: sm.servedSim.inc(); break;
-    case Served::Joined: sm.servedJoin.inc(); break;
-    case Served::MemHit: sm.servedMem.inc(); break;
-    case Served::DiskHit: sm.servedDisk.inc(); break;
+    case Served::Simulated: counters_.servedSim.inc(); break;
+    case Served::Joined: counters_.servedJoin.inc(); break;
+    case Served::MemHit: counters_.servedMem.inc(); break;
+    case Served::DiskHit: counters_.servedDisk.inc(); break;
     case Served::Rejected: break;
     }
     switch (req.job.tier) {
-    case rt::Tier::Sim: sm.tierSim.inc(); break;
-    case rt::Tier::Estimate: sm.tierEstimate.inc(); break;
-    }
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        switch (sub.served) {
-        case Served::Simulated: metrics_.servedSim++; break;
-        case Served::Joined: metrics_.servedJoin++; break;
-        case Served::MemHit: metrics_.servedMem++; break;
-        case Served::DiskHit: metrics_.servedDisk++; break;
-        case Served::Rejected: break;
-        }
-        switch (req.job.tier) {
-        case rt::Tier::Sim: metrics_.tierSim++; break;
-        case rt::Tier::Estimate: metrics_.tierEstimate++; break;
-        }
+    case rt::Tier::Sim: counters_.tierSim.inc(); break;
+    case rt::Tier::Estimate: counters_.tierEstimate.inc(); break;
     }
 
     const std::string *body = nullptr;
@@ -397,13 +367,14 @@ Server::handleRun(const Request &req)
                      : sub.served == Served::MemHit  ? "mem"
                                                      : "disk";
     } catch (const std::exception &e) {
-        ServeMetrics::get().failures.inc();
-        std::unique_lock<std::mutex> lock(mu_);
-        metrics_.failures++;
+        counters_.failures.inc();
         res.error = std::string("simulation failed: ") + e.what();
     }
     res.latencyMs = nowMs() - t0;
-    recordLatency(res.latencyMs);
+    // Lock-free, and every request is recorded (no sample ring).
+    counters_.latencyUs.observe(
+        res.latencyMs > 0 ? static_cast<uint64_t>(res.latencyMs * 1000.0)
+                          : 0);
     release();
     return makeResultResponse(req.id, res, body);
 }
@@ -422,62 +393,40 @@ Server::runJson(const rt::NetRun &run)
     return b->json;
 }
 
-void
-Server::recordLatency(double ms)
-{
-    // Lock-free: two relaxed atomic adds per histogram.  Every request
-    // is recorded — the old fixed sample ring (and its whole-history
-    // bias once full) is gone.
-    const uint64_t us = ms > 0 ? static_cast<uint64_t>(ms * 1000.0) : 0;
-    latencyUs_.observe(us);
-    ServeMetrics::get().latencyUs.observe(us);
-}
-
-Server::Metrics
-Server::metrics() const
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    return metrics_;
-}
-
 std::string
 Server::statsJson() const
 {
-    const rt::Engine::CacheStats cache = engine_.cacheStats();
+    const Counters &m = counters_;
+    const rt::Engine::Counters &cache = engine_.counters();
+    const uint64_t memHits = cache.memHits.value();
+    const uint64_t diskHits = cache.diskHits.value();
+    const uint64_t misses = cache.misses.value();
     const unsigned depth = engine_.inFlightSims();
+    const bool draining = this->draining();
+    const metrics::HistogramSnapshot lat = m.latencyUs.snapshot();
 
-    Metrics m;
-    bool draining;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        m = metrics_;
-        draining = draining_;
-    }
-    const metrics::HistogramSnapshot lat = latencyUs_.snapshot();
-
-    const uint64_t lookups = cache.memHits + cache.diskHits + cache.misses;
+    const uint64_t lookups = memHits + diskHits + misses;
     const double hitRate =
-        lookups ? double(cache.memHits + cache.diskHits) / double(lookups)
-                : 0.0;
+        lookups ? double(memHits + diskHits) / double(lookups) : 0.0;
 
     std::string out;
     json::ObjWriter o(out);
     o.str("type", "stats");
-    o.u64("requests", m.requests);
-    o.u64("invalid", m.invalid);
-    o.u64("run_requests", m.runRequests);
-    o.u64("rejected_queue_full", m.rejectedQueueFull);
-    o.u64("rejected_draining", m.rejectedDraining);
-    o.u64("served_sim", m.servedSim);
-    o.u64("served_join", m.servedJoin);
-    o.u64("served_mem", m.servedMem);
-    o.u64("served_disk", m.servedDisk);
-    o.u64("failures", m.failures);
-    o.u64("tier_sim", m.tierSim);
-    o.u64("tier_estimate", m.tierEstimate);
-    o.u64("cache_mem_hits", cache.memHits);
-    o.u64("cache_disk_hits", cache.diskHits);
-    o.u64("cache_misses", cache.misses);
+    o.u64("requests", m.requests.value());
+    o.u64("invalid", m.invalid.value());
+    o.u64("run_requests", m.runRequests.value());
+    o.u64("rejected_queue_full", m.rejectedQueueFull.value());
+    o.u64("rejected_draining", m.rejectedDraining.value());
+    o.u64("served_sim", m.servedSim.value());
+    o.u64("served_join", m.servedJoin.value());
+    o.u64("served_mem", m.servedMem.value());
+    o.u64("served_disk", m.servedDisk.value());
+    o.u64("failures", m.failures.value());
+    o.u64("tier_sim", m.tierSim.value());
+    o.u64("tier_estimate", m.tierEstimate.value());
+    o.u64("cache_mem_hits", memHits);
+    o.u64("cache_disk_hits", diskHits);
+    o.u64("cache_misses", misses);
     o.num("cache_hit_rate", hitRate);
     o.u64("queue_depth", depth);
     o.u64("queue_max", opt_.queueMax);

@@ -98,33 +98,37 @@ class Server
 
     bool draining() const;
 
-    /** The fronted engine (tests inspect its cacheStats()). */
+    /** The fronted engine (tests read its counters()). */
     rt::Engine &engine() { return engine_; }
 
-    /** Counter snapshot (also served as the "stats" response). */
-    struct Metrics
+    /** This server's counters (the "stats" response reads them).  Each
+     *  is bound to its process-wide tango_serve_* registry series, so
+     *  one update feeds both this server's view and the scrape. */
+    struct Counters
     {
-        uint64_t requests = 0;          ///< frames parsed OK
-        uint64_t invalid = 0;           ///< malformed frames/specs
-        uint64_t runRequests = 0;
-        uint64_t rejectedQueueFull = 0;
-        uint64_t rejectedDraining = 0;
-        uint64_t servedSim = 0;
-        uint64_t servedJoin = 0;        ///< dedup onto in-flight job
-        uint64_t servedMem = 0;
-        uint64_t servedDisk = 0;
-        uint64_t failures = 0;          ///< simulations that threw
-        // Admitted run requests by requested tier (JobSpec::tier).
-        uint64_t tierSim = 0;
-        uint64_t tierEstimate = 0;
-    };
-    Metrics metrics() const;
+        Counters();
 
-    /** The "stats" response payload: metrics, cache hit rate, queue
-     *  depth and service-time percentiles as one JSON object.  The
-     *  p50/p99 values are exact log2-bucket upper bounds from the
-     *  run-latency histogram (metrics.hh), aggregated over every
-     *  request this server ever served — no sample ring, no cap. */
+        metrics::Counter requests;      ///< frames parsed OK
+        metrics::Counter invalid;       ///< malformed frames/specs
+        metrics::Counter runRequests;
+        metrics::Counter rejectedQueueFull, rejectedDraining;
+        metrics::Counter servedSim;
+        metrics::Counter servedJoin;    ///< dedup onto in-flight job
+        metrics::Counter servedMem, servedDisk;
+        metrics::Counter failures;      ///< simulations that threw
+        // Admitted run requests by requested tier (JobSpec::tier).
+        metrics::Counter tierSim, tierEstimate;
+        /** End-to-end run-request latency (µs). */
+        metrics::Histogram latencyUs;
+    };
+    const Counters &counters() const { return counters_; }
+
+    /** The "stats" response payload: this server's and its engine's
+     *  counters, cache hit rate, queue depth and service-time
+     *  percentiles as one JSON object.  The p50/p99 values are exact
+     *  log2-bucket upper bounds from the run-latency histogram
+     *  (metrics.hh), aggregated over every request this server ever
+     *  served — no sample ring, no cap. */
     std::string statsJson() const;
 
   private:
@@ -139,7 +143,6 @@ class Server
     std::string handleRequest(const std::string &payload);
     std::string handleRun(const Request &req);
     const std::string &runJson(const rt::NetRun &run);
-    void recordLatency(double ms);
 
     ServerOptions opt_;
     rt::Engine engine_;
@@ -156,11 +159,7 @@ class Server
     std::list<Conn> conns_;
     bool draining_ = false;
     unsigned activeRuns_ = 0;   ///< run requests being served right now
-    Metrics metrics_;
-    /** End-to-end run-request latency (µs).  Per-server (the stats
-     *  reply is this server's view); the process-wide registry carries
-     *  a second copy under tango_serve_latency_us for scrapes. */
-    metrics::Histogram latencyUs_;
+    Counters counters_;
 
     /** serializeNetRun() of a resident result, built at most once. */
     struct Body

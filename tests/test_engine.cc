@@ -15,7 +15,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "metrics/metrics.hh"
 #include "runtime/engine.hh"
 #include "runtime/run_cache.hh"
 #include "runtime/runtime.hh"
@@ -72,11 +74,13 @@ expectIdentical(const rt::NetRun &a, const rt::NetRun &b)
 void
 expectCacheAccounted(const Engine &e, uint64_t submissions)
 {
-    const Engine::CacheStats s = e.cacheStats();
-    EXPECT_EQ(s.memHits + s.diskHits + s.misses, submissions)
-        << "memHits=" << s.memHits << " diskHits=" << s.diskHits
-        << " misses=" << s.misses;
-    EXPECT_LE(s.failures, s.misses);
+    const uint64_t memHits = e.counters().memHits.value();
+    const uint64_t diskHits = e.counters().diskHits.value();
+    const uint64_t misses = e.counters().misses.value();
+    EXPECT_EQ(memHits + diskHits + misses, submissions)
+        << "memHits=" << memHits << " diskHits=" << diskHits
+        << " misses=" << misses;
+    EXPECT_LE(e.counters().failures.value(), misses);
 }
 
 TEST(Engine, ParallelRunsAreBitIdenticalToSerial)
@@ -111,10 +115,63 @@ TEST(Engine, CacheHitReturnsTheSameObject)
     const rt::NetRun &second = e.run(key);
     EXPECT_EQ(&first, &second);
 
-    const auto stats = e.cacheStats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_GE(stats.memHits, 1u);
+    EXPECT_EQ(e.counters().misses.value(), 1u);
+    EXPECT_GE(e.counters().memHits.value(), 1u);
     expectCacheAccounted(e, 2);
+}
+
+TEST(Engine, CountersAreScopedToTheEngine)
+{
+    // Two engines in one process: each one's counters see only its own
+    // jobs, and the process-wide registry series rise by the sum.
+    Engine a = makeEngine(2);
+    Engine b = makeEngine(2);
+    const auto series = [](const char *name, metrics::Labels labels) {
+        return metrics::counter(name, "", labels).value();
+    };
+    const auto snapshot = [&] {
+        return std::vector<uint64_t>{
+            series("tango_engine_cache_total", {{"result", "mem_hit"}}),
+            series("tango_engine_cache_total", {{"result", "disk_hit"}}),
+            series("tango_engine_cache_total", {{"result", "miss"}}),
+            series("tango_engine_failures_total", {}),
+            series("tango_engine_jobs_total", {{"tier", "sim"}}),
+            series("tango_engine_jobs_total", {{"tier", "estimate"}}),
+        };
+    };
+    const auto counts = [](const Engine &e) {
+        const Engine::Counters &c = e.counters();
+        return std::vector<uint64_t>{
+            c.memHits.value(), c.diskHits.value(), c.misses.value(),
+            c.failures.value(), c.tierSim.value(), c.tierEstimate.value()};
+    };
+    const std::vector<uint64_t> before = snapshot();
+
+    // No simulation: the job bodies return a stand-in result.
+    const auto stub = [](sim::Gpu &) {
+        rt::NetRun run;
+        run.netName = "stub";
+        return run;
+    };
+    JobSpec est{"gru"};
+    est.tier = rt::Tier::Estimate;
+    a.submitJob(JobSpec{"cifarnet"}, 0, stub).future.get();
+    a.submitJob(JobSpec{"cifarnet"}, 0, stub).future.get();
+    a.submitJob(est, 0, stub).future.get();
+    b.submitJob(JobSpec{"lstm"}, 0, stub).future.get();
+    EXPECT_THROW(b.run("test/boom", sim::pascalGP102(),
+                       [](sim::Gpu &) -> rt::NetRun {
+                           throw std::runtime_error("on purpose");
+                       }),
+                 std::runtime_error);
+
+    //                                  mem disk miss fail sim est
+    EXPECT_EQ(counts(a), (std::vector<uint64_t>{1, 0, 2, 0, 2, 1}));
+    EXPECT_EQ(counts(b), (std::vector<uint64_t>{0, 0, 2, 1, 1, 0}));
+    const std::vector<uint64_t> after = snapshot();
+    for (size_t i = 0; i < after.size(); i++)
+        EXPECT_EQ(after[i] - before[i], counts(a)[i] + counts(b)[i])
+            << "series " << i;
 }
 
 TEST(Engine, RunKeyOrderingAndNames)
@@ -147,7 +204,7 @@ TEST(Engine, ThrowingJobDoesNotPoisonThePool)
     };
     EXPECT_THROW(e.run("test/boom", sim::pascalGP102(), boom),
                  std::runtime_error);
-    EXPECT_EQ(e.cacheStats().failures, 1u);
+    EXPECT_EQ(e.counters().failures.value(), 1u);
 
     // The failed key was evicted: a retry runs the (new) job...
     const rt::NetRun &retried = e.run(
@@ -182,7 +239,7 @@ TEST(Engine, InvalidSpecFailsOnlyItsJob)
                   std::string::npos)
             << err.what();
     }
-    EXPECT_EQ(e.cacheStats().failures, 1u);
+    EXPECT_EQ(e.counters().failures.value(), 1u);
 
     // A valid job submitted after it still completes.
     const rt::NetRun &after = e.run(JobSpec{"gru"});
@@ -204,7 +261,7 @@ TEST(Engine, UnbuildableConfigFailsOnlyItsJob)
     } catch (const sim::ConfigError &err) {
         EXPECT_EQ(std::string(err.what()), bad.validate());
     }
-    EXPECT_EQ(e.cacheStats().failures, 1u);
+    EXPECT_EQ(e.counters().failures.value(), 1u);
 
     const rt::NetRun &after = e.run(JobSpec{"cifarnet"});
     EXPECT_GT(after.totalTimeSec, 0.0);
@@ -221,13 +278,13 @@ TEST(Engine, DiskSpillRoundTrips)
     {
         Engine writer = makeEngine(2, path);
         fresh = writer.run(JobSpec{"cifarnet"});
-        EXPECT_EQ(writer.cacheStats().misses, 1u);
+        EXPECT_EQ(writer.counters().misses.value(), 1u);
     }   // destructor flushes the spill
 
     Engine reader = makeEngine(2, path);
     const rt::NetRun &recalled = reader.run(JobSpec{"cifarnet"});
-    EXPECT_EQ(reader.cacheStats().diskHits, 1u);
-    EXPECT_EQ(reader.cacheStats().misses, 0u);
+    EXPECT_EQ(reader.counters().diskHits.value(), 1u);
+    EXPECT_EQ(reader.counters().misses.value(), 0u);
     expectIdentical(fresh, recalled);
     expectCacheAccounted(reader, 1);
 
@@ -366,8 +423,8 @@ TEST(Engine, CacheCapBoundsTheSpillFile)
     // The capped spill recalls nothing: the entry is re-simulated.
     Engine reader = makeEngine(2, path);
     reader.run(JobSpec{"cifarnet"});
-    EXPECT_EQ(reader.cacheStats().diskHits, 0u);
-    EXPECT_EQ(reader.cacheStats().misses, 1u);
+    EXPECT_EQ(reader.counters().diskHits.value(), 0u);
+    EXPECT_EQ(reader.counters().misses.value(), 1u);
 
     std::remove(path.c_str());
 }

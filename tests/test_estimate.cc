@@ -529,11 +529,11 @@ TEST(Estimate, EstimateTierNeverSharesSimCache)
     EXPECT_EQ(engine.submitJob(sim).served, Served::MemHit);
     EXPECT_EQ(engine.submitJob(est).served, Served::MemHit);
 
-    const rt::Engine::CacheStats stats = engine.cacheStats();
-    EXPECT_EQ(stats.tierSim, 2u);
-    EXPECT_EQ(stats.tierEstimate, 2u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.memHits, 2u);
+    const rt::Engine::Counters &counts = engine.counters();
+    EXPECT_EQ(counts.tierSim.value(), 2u);
+    EXPECT_EQ(counts.tierEstimate.value(), 2u);
+    EXPECT_EQ(counts.misses.value(), 2u);
+    EXPECT_EQ(counts.memHits.value(), 2u);
 }
 
 } // namespace

@@ -125,6 +125,56 @@ TEST(Histogram, ConcurrentObservationsAreExact)
     EXPECT_EQ(h.snapshot().count(), kThreads * kPer);
 }
 
+// A per-instance instrument bound to a registry total: every update
+// reaches the total exactly once; an unbound instrument reaches nothing.
+TEST(Instruments, BoundInstrumentsFeedTheirTotalExactly)
+{
+    Registry r;
+    Counter &total = r.counter("t_total", "help");
+    Histogram &totalH = r.histogram("t_us", "help");
+    Counter a(&total), b(&total), unbound;
+    Histogram ha(&totalH), hb(&totalH), unboundH;
+    constexpr int kThreads = 4;
+    constexpr uint64_t kPer = 10000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            Counter &c = t % 2 ? a : b;
+            Histogram &h = t % 2 ? ha : hb;
+            for (uint64_t i = 0; i < kPer; i++) {
+                c.inc(2);
+                h.observe(uint64_t(t) * 1000 + i % 977);
+                unbound.inc();
+                unboundH.observe(i);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(a.value(), kThreads / 2 * kPer * 2);
+    EXPECT_EQ(b.value(), kThreads / 2 * kPer * 2);
+    EXPECT_EQ(unbound.value(), kThreads * kPer);
+    EXPECT_EQ(total.value(), a.value() + b.value());
+
+    HistogramSnapshot both = ha.snapshot();
+    both.merge(hb.snapshot());
+    const HistogramSnapshot t = totalH.snapshot();
+    EXPECT_EQ(t.buckets, both.buckets);
+    EXPECT_EQ(t.sum, both.sum);
+    EXPECT_EQ(t.count(), kThreads * kPer);
+    EXPECT_EQ(unboundH.snapshot().count(), kThreads * kPer);
+
+    // The registry renders the totals, never the instances.
+    const std::string text = r.renderPrometheus();
+    EXPECT_NE(text.find("t_total " + std::to_string(total.value()) + "\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("t_us_count " + std::to_string(t.count()) + "\n"),
+              std::string::npos)
+        << text;
+}
+
 HistogramSnapshot
 randomSnapshot(std::mt19937_64 &rng, int observations)
 {

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <map>
 #include <netinet/in.h>
 #include <sstream>
 #include <string>
@@ -27,6 +28,7 @@
 #include <unistd.h>
 
 #include "common/json.hh"
+#include "metrics/metrics.hh"
 #include "metrics/scrape.hh"
 #include "runtime/job.hh"
 #include "runtime/run_cache.hh"
@@ -197,23 +199,24 @@ canonicalRun(NetRun run)
 /** Accounting invariant: every run request is resolved exactly once —
  *  rejected (draining / queue-full), refused as an invalid spec, or
  *  served from one of the four sources.  @p invalidSpecs is the number
- *  of run requests with a bad JobSpec (Metrics::invalid also counts
+ *  of run requests with a bad JobSpec (Counters::invalid also counts
  *  malformed frames, which never reach runRequests, so the caller says
  *  how many of the invalids were run requests).  failures happen to
  *  already-served requests, so they bound rather than add. */
 void
-expectRunsAccounted(const serve::Server::Metrics &m,
+expectRunsAccounted(const serve::Server::Counters &c,
                     uint64_t invalidSpecs = 0)
 {
-    EXPECT_EQ(m.runRequests, m.rejectedDraining + m.rejectedQueueFull +
-                                 invalidSpecs + m.servedSim +
-                                 m.servedJoin + m.servedMem + m.servedDisk)
-        << "run=" << m.runRequests << " drain=" << m.rejectedDraining
-        << " full=" << m.rejectedQueueFull << " invalid=" << invalidSpecs
-        << " sim=" << m.servedSim << " join=" << m.servedJoin
-        << " mem=" << m.servedMem << " disk=" << m.servedDisk;
-    EXPECT_LE(m.failures,
-              m.servedSim + m.servedJoin + m.servedMem + m.servedDisk);
+    const uint64_t run = c.runRequests.value();
+    const uint64_t drain = c.rejectedDraining.value();
+    const uint64_t full = c.rejectedQueueFull.value();
+    const uint64_t sim = c.servedSim.value(), join = c.servedJoin.value();
+    const uint64_t mem = c.servedMem.value(), disk = c.servedDisk.value();
+    EXPECT_EQ(run, drain + full + invalidSpecs + sim + join + mem + disk)
+        << "run=" << run << " drain=" << drain << " full=" << full
+        << " invalid=" << invalidSpecs << " sim=" << sim
+        << " join=" << join << " mem=" << mem << " disk=" << disk;
+    EXPECT_LE(c.failures.value(), sim + join + mem + disk);
 }
 
 /** A raw protocol connection: whole frames out and in, so tests see the
@@ -302,7 +305,7 @@ TEST(Serve, DeeplyNestedFrameIsABadRequestNotACrash)
     EXPECT_EQ(conn.roundTrip(serve::makePingRequest()), "{\"type\":\"pong\"}");
     serve::Client client = ts.connect();
     EXPECT_TRUE(client.ping(&err)) << err;
-    EXPECT_EQ(ts.server.metrics().invalid, 1u);
+    EXPECT_EQ(ts.server.counters().invalid.value(), 1u);
 }
 
 TEST(Serve, OutOfRangeNumberInRunRequestIsRefused)
@@ -318,7 +321,7 @@ TEST(Serve, OutOfRangeNumberInRunRequestIsRefused)
     EXPECT_FALSE(res.ok);
     EXPECT_NE(res.error.find("json: number out of range"), std::string::npos)
         << res.error;
-    EXPECT_EQ(ts.server.metrics().runRequests, 0u);
+    EXPECT_EQ(ts.server.counters().runRequests.value(), 0u);
 }
 
 /** A cheap stand-in result whose statistics exercise every number
@@ -401,7 +404,7 @@ TEST(Serve, ResponseBytesIdenticalForEveryServedKind)
         auto joined = std::async(std::launch::async, [&] {
             return b.roundTrip(serve::makeRunRequest(2, job));
         });
-        while (ts.server.metrics().servedJoin == 0)
+        while (ts.server.counters().servedJoin.value() == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         release.set_value();
         expectServedBytes(ts.server, first.get(), 1, job, "sim");
@@ -437,7 +440,7 @@ TEST(Serve, ResponseBytesIdenticalForEveryServedKind)
                       7, job, "disk");
     expectServedBytes(ts.server, c.roundTrip(serve::makeRunRequest(8, est)),
                       8, est, "disk");
-    EXPECT_EQ(ts.server.engine().cacheStats().misses, 0u);
+    EXPECT_EQ(ts.server.engine().counters().misses.value(), 0u);
     std::remove(cache.c_str());
 }
 
@@ -469,7 +472,7 @@ TEST(Serve, PingStatsAndInvalidSpec)
     EXPECT_FALSE(res.ok) << "traced jobs must be refused";
 
     // Both run requests were refused as invalid specs; nothing served.
-    expectRunsAccounted(ts.server.metrics(), 2);
+    expectRunsAccounted(ts.server.counters(), 2);
 }
 
 TEST(Serve, ConcurrentIdenticalColdJobsSimulateOnceBitIdenticalToGolden)
@@ -501,15 +504,15 @@ TEST(Serve, ConcurrentIdenticalColdJobsSimulateOnceBitIdenticalToGolden)
 
     // Exactly one simulation: the Engine's miss counter is the number
     // of jobs actually simulated.
-    const rt::Engine::CacheStats cache = ts.server.engine().cacheStats();
-    EXPECT_EQ(cache.misses, 1u);
-    EXPECT_EQ(cache.failures, 0u);
+    const rt::Engine::Counters &cache = ts.server.engine().counters();
+    EXPECT_EQ(cache.misses.value(), 1u);
+    EXPECT_EQ(cache.failures.value(), 0u);
 
     // One request simulated; the other joined it (or, if it lost the
     // race entirely, was served the resident result).
-    const serve::Server::Metrics m = ts.server.metrics();
-    EXPECT_EQ(m.servedSim, 1u);
-    EXPECT_EQ(m.servedJoin + m.servedMem, 1u);
+    const serve::Server::Counters &m = ts.server.counters();
+    EXPECT_EQ(m.servedSim.value(), 1u);
+    EXPECT_EQ(m.servedJoin.value() + m.servedMem.value(), 1u);
 
     // Both clients got stats bit-identical to the committed fixture.
     NetRun golden;
@@ -523,8 +526,8 @@ TEST(Serve, ConcurrentIdenticalColdJobsSimulateOnceBitIdenticalToGolden)
     ASSERT_TRUE(warm.ok);
     EXPECT_EQ(warm.served, "mem");
     EXPECT_EQ(canonicalRun(warm.run), want);
-    EXPECT_EQ(ts.server.engine().cacheStats().misses, 1u);
-    expectRunsAccounted(ts.server.metrics());
+    EXPECT_EQ(ts.server.engine().counters().misses.value(), 1u);
+    expectRunsAccounted(ts.server.counters());
 }
 
 TEST(Serve, QueueFullRejectsNewSimulationsButAdmitsJoins)
@@ -581,10 +584,10 @@ TEST(Serve, QueueFullRejectsNewSimulationsButAdmitsJoins)
     ASSERT_TRUE(a.ok) << a.error;
     ASSERT_TRUE(j.ok) << j.error;
 
-    const serve::Server::Metrics m = ts.server.metrics();
-    EXPECT_EQ(m.rejectedQueueFull, 1u);
-    EXPECT_EQ(m.servedSim, 1u);
-    EXPECT_EQ(ts.server.engine().cacheStats().misses, 1u);
+    const serve::Server::Counters &m = ts.server.counters();
+    EXPECT_EQ(m.rejectedQueueFull.value(), 1u);
+    EXPECT_EQ(m.servedSim.value(), 1u);
+    EXPECT_EQ(ts.server.engine().counters().misses.value(), 1u);
     expectRunsAccounted(m);
 }
 
@@ -631,9 +634,9 @@ TEST(Serve, GracefulDrainFinishesInFlightAndRefusesNew)
     ASSERT_TRUE(done.ok) << done.error;
 
     ts.server.waitDrained();
-    const serve::Server::Metrics m = ts.server.metrics();
-    EXPECT_EQ(m.rejectedDraining, 1u);
-    EXPECT_EQ(m.servedSim, 1u);
+    const serve::Server::Counters &m = ts.server.counters();
+    EXPECT_EQ(m.rejectedDraining.value(), 1u);
+    EXPECT_EQ(m.servedSim.value(), 1u);
     expectRunsAccounted(m);
 }
 
@@ -701,6 +704,99 @@ TEST(Serve, MetricsFrameScrapeDeltas)
     EXPECT_GE(lat->numOr("p50", -1.0), 0.0);
 }
 
+TEST(Serve, TwoServersCountOnlyTheirOwnRequests)
+{
+    // Two servers in one process: each stats reply and each set of
+    // counters sees only that server's requests, and the process-wide
+    // registry series rise by the sum of both.
+    serve::ServerOptions opt;
+    opt.runner = [](sim::Gpu &, const JobSpec &spec) {
+        return syntheticRun(spec);
+    };
+    TestServer a(opt), b(opt);
+    const auto series = [](const char *name, metrics::Labels labels = {}) {
+        return metrics::counter(name, "", labels).value();
+    };
+    const auto registry = [&] {
+        return std::map<std::string, uint64_t>{
+            {"requests", series("tango_serve_requests_total")},
+            {"invalid", series("tango_serve_invalid_total")},
+            {"run_requests", series("tango_serve_run_requests_total")},
+            {"served_sim",
+             series("tango_serve_served_total", {{"how", "sim"}})},
+            {"served_mem",
+             series("tango_serve_served_total", {{"how", "mem"}})},
+            {"tier_sim", series("tango_serve_tier_total", {{"tier", "sim"}})},
+            {"cache_misses",
+             series("tango_engine_cache_total", {{"result", "miss"}})},
+            {"cache_mem_hits",
+             series("tango_engine_cache_total", {{"result", "mem_hit"}})},
+            {"latency_count",
+             metrics::histogram("tango_serve_latency_us", "")
+                 .snapshot()
+                 .count()},
+        };
+    };
+    const std::map<std::string, uint64_t> before = registry();
+
+    std::string err, statsA, statsB;
+    JobResult res;
+    JobSpec cifar;
+    cifar.net = "cifarnet";
+    serve::Client ca = a.connect(), cb = b.connect();
+    ASSERT_TRUE(ca.ping(&err)) << err;
+    ASSERT_TRUE(ca.run(cifar, res, &err) && res.ok) << err << res.error;
+    ASSERT_TRUE(ca.run(cifar, res, &err) && res.ok) << err << res.error;
+    ASSERT_TRUE(cb.run(gruExactJob(), res, &err) && res.ok)
+        << err << res.error;
+    JobSpec bad;
+    bad.net = "transformer";
+    ASSERT_TRUE(cb.run(bad, res, &err) && !res.ok) << err;
+    ASSERT_TRUE(ca.stats(statsA, &err)) << err;
+    ASSERT_TRUE(cb.stats(statsB, &err)) << err;
+
+    // Each stats frame counts itself among its server's requests.
+    const std::map<std::string, uint64_t> wantA = {
+        {"requests", 4},     {"invalid", 0},        {"run_requests", 2},
+        {"served_sim", 1},   {"served_mem", 1},     {"tier_sim", 2},
+        {"cache_misses", 1}, {"cache_mem_hits", 1}, {"latency_count", 2}};
+    const std::map<std::string, uint64_t> wantB = {
+        {"requests", 3},     {"invalid", 1},        {"run_requests", 2},
+        {"served_sim", 1},   {"served_mem", 0},     {"tier_sim", 1},
+        {"cache_misses", 1}, {"cache_mem_hits", 0}, {"latency_count", 1}};
+    const auto expectStats = [](const std::string &stats,
+                                const std::map<std::string, uint64_t> &want,
+                                serve::Server &server) {
+        const json::Reader::Value v = json::Reader(stats).parse();
+        const serve::Server::Counters &c = server.counters();
+        const rt::Engine::Counters &e = server.engine().counters();
+        const std::map<std::string, uint64_t> counters = {
+            {"requests", c.requests.value()},
+            {"invalid", c.invalid.value()},
+            {"run_requests", c.runRequests.value()},
+            {"served_sim", c.servedSim.value()},
+            {"served_mem", c.servedMem.value()},
+            {"tier_sim", c.tierSim.value()},
+            {"cache_misses", e.misses.value()},
+            {"cache_mem_hits", e.memHits.value()},
+            {"latency_count", c.latencyUs.snapshot().count()}};
+        EXPECT_EQ(counters, want);
+        for (const auto &[key, n] : want) {
+            const uint64_t got =
+                key == "latency_count"
+                    ? v.find("latency_ms")->u64Or("count", 999)
+                    : v.u64Or(key.c_str(), 999);
+            EXPECT_EQ(got, n) << key;
+        }
+    };
+    expectStats(statsA, wantA, a.server);
+    expectStats(statsB, wantB, b.server);
+
+    const std::map<std::string, uint64_t> after = registry();
+    for (const auto &[key, n] : after)
+        EXPECT_EQ(n - before.at(key), wantA.at(key) + wantB.at(key)) << key;
+}
+
 TEST(Serve, ShutdownRequestTriggersDrain)
 {
     TestServer ts;
@@ -750,8 +846,8 @@ TEST(ServeChaos, UnbuildableConfigAndShardCountAreBadRequests)
         EXPECT_FALSE(res.ok) << job;
         EXPECT_EQ(res.error.rfind("bad request: ", 0), 0u) << res.error;
     }
-    expectRunsAccounted(ts.server.metrics(), 2);
-    EXPECT_EQ(ts.server.metrics().invalid, 5u);
+    expectRunsAccounted(ts.server.counters(), 2);
+    EXPECT_EQ(ts.server.counters().invalid.value(), 5u);
     std::string err;
     EXPECT_TRUE(ts.connect().ping(&err)) << err;
 }
@@ -770,14 +866,14 @@ TEST(ServeChaos, CycleCapFailsOneJobAndTheDaemonKeepsServing)
             << capped.error;
         EXPECT_NE(capped.error.find("safety cap"), std::string::npos)
             << capped.error;
-        EXPECT_EQ(ts.server.metrics().failures, uint64_t(attempt));
+        EXPECT_EQ(ts.server.counters().failures.value(), uint64_t(attempt));
     }
 
     // The next request on the same daemon and connection simulates.
     const JobResult next = rawRun(conn, R"({"net":"gru","seqLen":4})");
     EXPECT_TRUE(next.ok) << next.error;
     EXPECT_EQ(next.served, "sim");
-    expectRunsAccounted(ts.server.metrics());
+    expectRunsAccounted(ts.server.counters());
 }
 
 } // namespace

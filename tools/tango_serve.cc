@@ -144,16 +144,14 @@ main(int argc, char **argv)
 
     server.waitDrained();
 
-    const serve::Server::Metrics m = server.metrics();
+    using ull = unsigned long long;
+    const serve::Server::Counters &m = server.counters();
+    const ull requests = m.requests.value();
     inform("tango-serve: drained after %llu request%s "
            "(%llu sim, %llu join, %llu mem, %llu disk, %llu rejected)",
-           static_cast<unsigned long long>(m.requests),
-           m.requests == 1 ? "" : "s",
-           static_cast<unsigned long long>(m.servedSim),
-           static_cast<unsigned long long>(m.servedJoin),
-           static_cast<unsigned long long>(m.servedMem),
-           static_cast<unsigned long long>(m.servedDisk),
-           static_cast<unsigned long long>(m.rejectedQueueFull +
-                                           m.rejectedDraining));
+           requests, requests == 1 ? "" : "s", ull(m.servedSim.value()),
+           ull(m.servedJoin.value()), ull(m.servedMem.value()),
+           ull(m.servedDisk.value()),
+           ull(m.rejectedQueueFull.value() + m.rejectedDraining.value()));
     return 0;
 }
