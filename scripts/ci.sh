@@ -98,6 +98,10 @@ if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
     servedir=$(mktemp -d)
     build/tools/tango-serve --port 0 --port-file "$servedir/port" &
     serve_pid=$!
+    # A failed check below exits the script (set -e); the daemon must not
+    # outlive it, or it keeps stdout open and `scripts/ci.sh | tee log`
+    # hangs instead of failing.
+    trap 'kill "$serve_pid" 2>/dev/null; rm -rf "$servedir"' EXIT
     for _ in $(seq 100); do [[ -s "$servedir/port" ]] && break; sleep 0.1; done
     [[ -s "$servedir/port" ]] || { echo "tango-serve never bound" >&2; exit 1; }
     build/tools/tango-load --port "$(cat "$servedir/port")" \
@@ -248,6 +252,7 @@ EOF
     kill -TERM "$serve_pid"
     wait "$serve_pid"
     echo "tango-serve drained cleanly on SIGTERM"
+    trap - EXIT
     rm -rf "$servedir"
 fi
 

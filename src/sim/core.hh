@@ -6,8 +6,9 @@
  * a warp scheduler issues instructions from resident warps, a scoreboard
  * enforces register dependencies, functional units have issue occupancy,
  * and memory instructions walk the L1D -> L2 -> DRAM hierarchy with
- * coalescing and MSHR back-pressure.  Functional execution (real values)
- * happens at issue time through WarpExec.
+ * coalescing and MSHR back-pressure.  Functional execution (real values,
+ * less the dead ones of a timing-only launch) happens at issue time
+ * through WarpExec.
  *
  * The core also performs the paper's measurement duties: per-opcode and
  * per-dtype instruction counts (Figs 8-10), nvprof-style stall accounting

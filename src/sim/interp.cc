@@ -97,43 +97,6 @@ isFloat(DType t)
     return t == DType::F32;
 }
 
-/** Evaluate a comparison on two values of type @p t. */
-bool
-compare(Cmp c, DType t, uint32_t a, uint32_t b)
-{
-    if (isFloat(t)) {
-        float x = asF32(a), y = asF32(b);
-        switch (c) {
-          case Cmp::Eq: return x == y;
-          case Cmp::Ne: return x != y;
-          case Cmp::Lt: return x < y;
-          case Cmp::Le: return x <= y;
-          case Cmp::Gt: return x > y;
-          case Cmp::Ge: return x >= y;
-        }
-    } else if (isSigned(t)) {
-        auto x = static_cast<int32_t>(a), y = static_cast<int32_t>(b);
-        switch (c) {
-          case Cmp::Eq: return x == y;
-          case Cmp::Ne: return x != y;
-          case Cmp::Lt: return x < y;
-          case Cmp::Le: return x <= y;
-          case Cmp::Gt: return x > y;
-          case Cmp::Ge: return x >= y;
-        }
-    } else {
-        switch (c) {
-          case Cmp::Eq: return a == b;
-          case Cmp::Ne: return a != b;
-          case Cmp::Lt: return a < b;
-          case Cmp::Le: return a <= b;
-          case Cmp::Gt: return a > b;
-          case Cmp::Ge: return a >= b;
-        }
-    }
-    return false;
-}
-
 /**
  * Full-warp f32 fused multiply-add over three register rows (the RNN cell
  * kernels' hottest instruction).
@@ -309,6 +272,23 @@ WarpExec::foldAddrs(Mask exec, const uint32_t addrs[warpSize])
     digest::mix(streamHash_, acc);
 }
 
+uint32_t
+WarpExec::laneAddrs(const Instr &ins, Mask exec,
+                    uint32_t addrs[warpSize]) const
+{
+    const uint32_t *a0 = ins.src[0] == Instr::immReg
+                             ? nullptr
+                             : &regs_[size_t(ins.src[0]) * warpSize];
+    uint32_t maxAddr = 0;
+    forLanes(exec, [&](uint32_t lane) {
+        // Immediate-only addressing: base is 0, offset is the imm.
+        const uint32_t addr = (a0 ? a0[lane] : 0) + ins.imm;
+        addrs[lane] = addr;
+        maxAddr = std::max(maxAddr, addr);
+    });
+    return maxAddr;
+}
+
 Step
 WarpExec::step()
 {
@@ -361,6 +341,11 @@ WarpExec::stepT()
         digest::mix(streamHash_, (uint64_t(pc_) << 32) | exec);
 
     uint32_t next_pc = pc_ + 1;
+    // A value-dead instruction of a valuesUnobserved launch keeps its
+    // issue, addresses, bounds checks and digest folds but drops its
+    // data: no result write, load copy or store write (see
+    // DecodedInstr::valueDead for why no statistic can tell).
+    const bool dead = launch_.valuesUnobserved && dec.valueDead;
 
     switch (ins.op) {
       case Op::Nop:
@@ -418,6 +403,8 @@ WarpExec::stepT()
       }
 
       case Op::Mov: {
+        if (dead)
+            break;
         if (ins.sreg != SReg::None) {
             forLanes(exec, [&](uint32_t lane) {
                 uint32_t v = 0;
@@ -451,91 +438,46 @@ WarpExec::stepT()
             st.space = ins.space;
         }
         const uint32_t bytes = dtypeBytes(ins.type);
+        const uint8_t *base = nullptr;
+        uint64_t limit = 0;
+        switch (ins.space) {
+          case Space::Global:
+            base = gmem_.data();
+            limit = gmem_.backed();
+            break;
+          case Space::Shared:
+            base = smem_.data();
+            limit = smem_.size();
+            break;
+          case Space::Const:
+            base = launch_.constData.data();
+            limit = launch_.constData.size();
+            break;
+          case Space::Param:
+            base = reinterpret_cast<const uint8_t *>(launch_.params.data());
+            limit = launch_.params.size() * 4;
+            break;
+        }
+        // Addresses and their max first (vectorizable), one bounds
+        // assert, then unchecked per-lane copies.
         uint32_t addrs[warpSize];
-        const uint32_t *a0 = ins.src[0] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[0]) * warpSize];
-        const uint32_t imm = ins.imm;
-        if (bytes == 4) {
-            // Word loads (f32/u32/s32) dominate; the space dispatch and
-            // bounds limit hoist out of the lane loop and no narrowing is
-            // possible, so each lane is one checked 32-bit copy.
-            const uint8_t *base = nullptr;
-            uint64_t limit = 0;
-            switch (ins.space) {
-              case Space::Global:
-                base = gmem_.data();
-                limit = gmem_.backed();
-                break;
-              case Space::Shared:
-                base = smem_.data();
-                limit = smem_.size();
-                break;
-              case Space::Const:
-                base = launch_.constData.data();
-                limit = launch_.constData.size();
-                break;
-              case Space::Param:
-                base = reinterpret_cast<const uint8_t *>(
-                    launch_.params.data());
-                limit = launch_.params.size() * 4;
-                break;
-            }
-            uint32_t *dp = &regs_[size_t(ins.dst) * warpSize];
-            // Two passes so the bounds check hoists out of the copy loop:
-            // addresses and their max first (vectorizable), one assert,
-            // then unchecked 32-bit copies.
-            uint32_t maxAddr = 0;
+        const uint32_t maxAddr = laneAddrs(ins, exec, addrs);
+        TANGO_ASSERT(exec == 0 || uint64_t(maxAddr) + bytes <= limit,
+                     "load out of range");
+        uint32_t *dp = &regs_[size_t(ins.dst) * warpSize];
+        if (dead) {
+            // Addresses only: nothing reads the loaded value.
+        } else if (bytes == 4) {
+            // Word loads (f32/u32/s32) dominate: no narrowing.
             forLanes(exec, [&](uint32_t lane) {
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
-                maxAddr = std::max(maxAddr, addr);
-            });
-            TANGO_ASSERT(exec == 0 || uint64_t(maxAddr) + 4 <= limit,
-                         "load out of range");
-            forLanes(exec, [&](uint32_t lane) {
-                uint32_t raw;
-                std::memcpy(&raw, base + addrs[lane], 4);
-                dp[lane] = raw;
+                std::memcpy(&dp[lane], base + addrs[lane], 4);
             });
         } else {
-            for (Mask m = exec; m; m &= m - 1) {
-                const auto lane =
-                    static_cast<uint32_t>(std::countr_zero(m));
-                // Immediate-only addressing: base is 0, offset is the imm.
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
+            forLanes(exec, [&](uint32_t lane) {
                 uint32_t raw = 0;
-                switch (ins.space) {
-                  case Space::Global:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= gmem_.backed(),
-                                 "global load out of range");
-                    std::memcpy(&raw, gmem_.data() + addr, bytes);
-                    break;
-                  case Space::Shared:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= smem_.size(),
-                                 "shared load out of range");
-                    std::memcpy(&raw, smem_.data() + addr, bytes);
-                    break;
-                  case Space::Const:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <=
-                                     launch_.constData.size(),
-                                 "const load out of range");
-                    std::memcpy(&raw, launch_.constData.data() + addr,
-                                bytes);
-                    break;
-                  case Space::Param:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <=
-                                     launch_.params.size() * 4,
-                                 "param load out of range");
-                    std::memcpy(&raw,
-                                reinterpret_cast<const uint8_t *>(
-                                    launch_.params.data()) + addr,
-                                bytes);
-                    break;
-                }
-                writeReg(lane, ins.dst, canonical(ins.type, raw));
-            }
+                std::memcpy(&raw, base + addrs[lane], bytes);
+                dp[lane] = canonical(ins.type, raw);
+            });
         }
         if (hashing_)
             foldAddrs(exec, addrs);
@@ -596,61 +538,31 @@ WarpExec::stepT()
             st.isStore = true;
             st.space = ins.space;
         }
+        // Program::validate() refuses stores to Const and Param.
+        const bool global = ins.space == Space::Global;
+        uint8_t *base = global ? gmem_.data() : smem_.data();
+        const uint64_t limit = global ? gmem_.backed() : smem_.size();
         const uint32_t bytes = dtypeBytes(ins.type);
         uint32_t addrs[warpSize];
-        const uint32_t *a0 = ins.src[0] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[0]) * warpSize];
+        const uint32_t maxAddr = laneAddrs(ins, exec, addrs);
+        TANGO_ASSERT(exec == 0 || uint64_t(maxAddr) + bytes <= limit,
+                     "store out of range");
         const uint32_t *v1 = ins.src[1] == Instr::immReg
                                  ? nullptr
                                  : &regs_[size_t(ins.src[1]) * warpSize];
         const uint32_t imm = ins.imm;
-        if (bytes == 4 &&
-            (ins.space == Space::Global || ins.space == Space::Shared)) {
-            // Word stores: same hoisting as the load fast path above.
-            uint8_t *base;
-            uint64_t limit;
-            if (ins.space == Space::Global) {
-                base = gmem_.data();
-                limit = gmem_.backed();
-            } else {
-                base = smem_.data();
-                limit = smem_.size();
-            }
-            uint32_t maxAddr = 0;
-            forLanes(exec, [&](uint32_t lane) {
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
-                maxAddr = std::max(maxAddr, addr);
-            });
-            TANGO_ASSERT(exec == 0 || uint64_t(maxAddr) + 4 <= limit,
-                         "store out of range");
+        if (dead) {
+            // Addresses only: nothing reads the stored value.
+        } else if (bytes == 4) {
             forLanes(exec, [&](uint32_t lane) {
                 const uint32_t val = v1 ? v1[lane] : imm;
                 std::memcpy(base + addrs[lane], &val, 4);
             });
         } else {
-            for (Mask m = exec; m; m &= m - 1) {
-                const auto lane =
-                    static_cast<uint32_t>(std::countr_zero(m));
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
+            forLanes(exec, [&](uint32_t lane) {
                 const uint32_t val = v1 ? v1[lane] : imm;
-                switch (ins.space) {
-                  case Space::Global:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= gmem_.backed(),
-                                 "global store out of range");
-                    std::memcpy(gmem_.data() + addr, &val, bytes);
-                    break;
-                  case Space::Shared:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= smem_.size(),
-                                 "shared store out of range");
-                    std::memcpy(smem_.data() + addr, &val, bytes);
-                    break;
-                  default:
-                    panic("store to read-only space");
-                }
-            }
+                std::memcpy(base + addrs[lane], &val, bytes);
+            });
         }
         if (hashing_)
             foldAddrs(exec, addrs);
@@ -662,6 +574,8 @@ WarpExec::stepT()
       }
 
       case Op::Set: {
+        if (dead)
+            break;
         // Operand rows hoisted out of the lane loop (same trick as the
         // arithmetic path below); values match operand() lane for lane.
         const uint32_t imm = ins.imm;
@@ -675,9 +589,9 @@ WarpExec::stepT()
         const DType t = ins.type;
         // The (type class, comparison) dispatch hoists out of the lane
         // loop: runSet instantiates one tight loop per concrete
-        // comparator, matching compare() lane for lane (narrow types are
-        // stored canonicalized, so 32-bit signed/unsigned compares are
-        // exact for them too — the same equivalence compare() relies on).
+        // comparator (f32, signed or unsigned; narrow types are stored
+        // canonicalized, so 32-bit signed/unsigned compares are exact for
+        // them too).
         const auto runSet = [&](auto cmpf) {
             if (ins.dstIsPred) {
                 Mask result = preds_[ins.dst] & ~exec;
@@ -742,6 +656,8 @@ WarpExec::stepT()
       }
 
       case Op::Selp: {
+        if (dead)
+            break;
         const Mask pv = preds_[ins.src[2]];
         for (Mask m = exec; m; m &= m - 1) {
             const auto lane = static_cast<uint32_t>(std::countr_zero(m));
@@ -757,7 +673,10 @@ WarpExec::stepT()
         // rows and the opcode dispatch are hoisted out of the lane loop;
         // the hottest opcodes get dedicated loops and everything else falls
         // through to the generic per-lane evaluator below.  Results are
-        // identical lane for lane.
+        // identical lane for lane.  Program::validate() has refused every
+        // opcode/type pair the evaluator has no case for.
+        if (dead)
+            break;
         const int nsrc = dec.nsrc;
         const uint32_t imm = ins.imm;
         const uint32_t *s0 = ins.src[0] == Instr::immReg
@@ -803,10 +722,6 @@ WarpExec::stepT()
             }
             break;
           case Op::Mad24:
-            if (f32) {      // invalid; the generic path reports it
-                handled = false;
-                break;
-            }
             forLanes(exec, [&](uint32_t l) {
                 wr(l, (srcA(l) & 0xffffffu) * (srcB(l) & 0xffffffu) +
                           srcC(l));
@@ -880,28 +795,16 @@ WarpExec::stepT()
             }
             break;
           case Op::Shl:
-            if (f32) {
-                handled = false;
-                break;
-            }
             forLanes(exec, [&](uint32_t l) {
                 wr(l, srcA(l) << (srcB(l) & 31u));
             });
             break;
           case Op::And:
-            if (f32) {
-                handled = false;
-                break;
-            }
             forLanes(exec, [&](uint32_t l) {
                 wr(l, srcA(l) & srcB(l));
             });
             break;
           case Op::Or:
-            if (f32) {
-                handled = false;
-                break;
-            }
             forLanes(exec, [&](uint32_t l) {
                 wr(l, srcA(l) | srcB(l));
             });
@@ -942,7 +845,7 @@ WarpExec::stepT()
                             : static_cast<float>(a);
                     break;
                   default:
-                    panic("op %s not valid on f32", opName(ins.op));
+                    break;
                 }
                 r = asU32(f);
             } else {
@@ -1008,7 +911,7 @@ WarpExec::stepT()
                     }
                     break;
                   default:
-                    panic("op %s not valid on int", opName(ins.op));
+                    break;
                 }
             }
             writeReg(lane, ins.dst, canonical(ins.type, r));

@@ -8,6 +8,14 @@
  * be checked bit-for-bit against the CPU reference implementation, while
  * the same execution drives the timing model through the Step records.
  *
+ * The one exception is a timing-only launch (KernelLaunch::valuesUnobserved):
+ * its program is value-oblivious, so no loaded value can reach a guard, a
+ * branch or an address, and nothing reads its results.  There the
+ * interpreter drops the data of every DecodedInstr::valueDead instruction
+ * (ALU/Set/Selp/Mov results, load copies, store writes) and still computes
+ * and bounds-checks every address, folds the stream digest and shapes
+ * every access, so each Step is the one the full data path would give.
+ *
  * Branch divergence is handled with a PDOM-style reconvergence stack keyed
  * by SSY-declared reconvergence points, as in real NVIDIA hardware.
  */
@@ -235,6 +243,11 @@ class WarpExec
      *  functional one. */
     template <bool Timing>
     std::conditional_t<Timing, Step, StepLite> stepT();
+
+    /** Compute the active lanes' Ld/St byte addresses (src[0] + imm)
+     *  into @p addrs.  @return their maximum (0 when @p exec is 0). */
+    uint32_t laneAddrs(const Instr &ins, Mask exec,
+                       uint32_t addrs[warpSize]) const;
 
     /** Fold the active lanes' memory addresses into the stream digest. */
     void foldAddrs(Mask exec, const uint32_t addrs[warpSize]);

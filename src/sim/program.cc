@@ -45,8 +45,90 @@ Program::maxLiveRegs() const
     return maxLive;
 }
 
+namespace {
+
+/** Registers and predicates that may hold a value loaded from global or
+ *  shared memory.  Indices are uint8_t, so 256 bits cover any program,
+ *  valid or not. */
+struct Taint
+{
+    std::bitset<256> reg, pred;
+};
+
+/**
+ * The flow-insensitive taint fixpoint behind valueOblivious() and
+ * DecodedInstr::valueDead.  Loads from global or shared memory are the
+ * sources; taint flows through every register write with a tainted
+ * source, a predicate Set with a tainted source, and a Selp whose
+ * predicate is tainted.
+ */
+Taint
+valueTaint(const Program &prog)
+{
+    Taint t;
+    uint8_t srcs[3];
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (const Instr &ins : prog.code) {
+            bool tainted = ins.op == Op::Ld && (ins.space == Space::Global ||
+                                                ins.space == Space::Shared);
+            if (ins.op == Op::Selp)
+                tainted |= t.pred[ins.src[2]];
+            const int n = instrSourceRegs(ins, srcs);
+            for (int i = 0; i < n; i++)
+                tainted |= t.reg[srcs[i]];
+            if (!tainted)
+                continue;
+            const bool setsPred = ins.op == Op::Set && ins.dstIsPred;
+            if (!setsPred && !instrWritesReg(ins))
+                continue;
+            std::bitset<256> &file = setsPred ? t.pred : t.reg;
+            if (!file[ins.dst]) {
+                file[ins.dst] = true;
+                changed = true;
+            }
+        }
+    }
+    return t;
+}
+
+/** @return whether no guard and no Ld/St address of @p prog reads @p t. */
+bool
+oblivious(const Program &prog, const Taint &t)
+{
+    for (const Instr &ins : prog.code) {
+        if (ins.pred != noPred && t.pred[ins.pred])
+            return false;
+        if ((ins.op == Op::Ld || ins.op == Op::St) &&
+            ins.src[0] != Instr::immReg && t.reg[ins.src[0]])
+            return false;
+    }
+    return true;
+}
+
+/** @return the type class ("f32" or "int") the ALU cannot run @p ins's
+ *  opcode on, or nullptr when it can (or @p ins is not an ALU op). */
+const char *
+aluTypeError(const Instr &ins)
+{
+    switch (ins.op) {
+      case Op::And: case Op::Mad24: case Op::Not: case Op::Or:
+      case Op::Shl: case Op::Shr: case Op::Xor:
+        return ins.type == DType::F32 ? "f32" : nullptr;
+      case Op::Ex2: case Op::Lg2: case Op::Rcp: case Op::Rsqrt:
+      case Op::Sqrt:
+        return ins.type == DType::F32 ? nullptr : "int";
+      default:
+        return nullptr;
+    }
+}
+
+} // namespace
+
 DecodedProgram::DecodedProgram(const Program &prog)
 {
+    const Taint taint = valueTaint(prog);
+    const bool dropValues = oblivious(prog, taint);
     ops_.resize(prog.code.size());
     for (size_t pc = 0; pc < prog.code.size(); pc++) {
         const Instr &ins = prog.code[pc];
@@ -57,6 +139,10 @@ DecodedProgram::DecodedProgram(const Program &prog)
             static_cast<uint8_t>(instrSourceRegs(ins, d.srcRegs));
         d.writesReg = instrWritesReg(ins);
         d.isLdSt = ins.op == Op::Ld || ins.op == Op::St;
+        d.valueDead =
+            dropValues &&
+            (ins.op == Op::St || (d.writesReg && taint.reg[ins.dst]) ||
+             (ins.op == Op::Set && ins.dstIsPred && taint.pred[ins.dst]));
         d.latency = opLatency(ins.op);
         switch (ins.op) {
           case Op::Abs: case Op::Not: case Op::Cvt: case Op::Rcp:
@@ -76,40 +162,7 @@ DecodedProgram::DecodedProgram(const Program &prog)
 bool
 valueOblivious(const Program &prog)
 {
-    // Register and predicate indices are uint8_t, so 256 bits cover any
-    // program, valid or not.
-    std::bitset<256> reg, pred;
-    uint8_t srcs[3];
-    for (bool changed = true; changed;) {
-        changed = false;
-        for (const Instr &ins : prog.code) {
-            bool tainted = ins.op == Op::Ld && (ins.space == Space::Global ||
-                                                ins.space == Space::Shared);
-            if (ins.op == Op::Selp)
-                tainted |= pred[ins.src[2]];
-            const int n = instrSourceRegs(ins, srcs);
-            for (int i = 0; i < n; i++)
-                tainted |= reg[srcs[i]];
-            if (!tainted)
-                continue;
-            const bool setsPred = ins.op == Op::Set && ins.dstIsPred;
-            if (!setsPred && !instrWritesReg(ins))
-                continue;
-            std::bitset<256> &file = setsPred ? pred : reg;
-            if (!file[ins.dst]) {
-                file[ins.dst] = true;
-                changed = true;
-            }
-        }
-    }
-    for (const Instr &ins : prog.code) {
-        if (ins.pred != noPred && pred[ins.pred])
-            return false;
-        if ((ins.op == Op::Ld || ins.op == Op::St) &&
-            ins.src[0] != Instr::immReg && reg[ins.src[0]])
-            return false;
-    }
-    return true;
+    return oblivious(prog, valueTaint(prog));
 }
 
 uint16_t
@@ -165,6 +218,12 @@ Program::validate() const
         if (ins.op == Op::Set && ins.dstIsPred && ins.dst >= numPreds)
             panic("%s: pc %zu sets p%u >= numPreds %u", name.c_str(), pc,
                   ins.dst, numPreds);
+        if (const char *cls = aluTypeError(ins))
+            panic("%s: pc %zu: op %s not valid on %s", name.c_str(), pc,
+                  opName(ins.op), cls);
+        if (ins.op == Op::St && ins.space != Space::Global &&
+            ins.space != Space::Shared)
+            panic("%s: pc %zu: store to read-only space", name.c_str(), pc);
     }
     if (code.empty() || code.back().op != Op::Exit)
         panic("%s: program must end with exit", name.c_str());

@@ -78,7 +78,13 @@ struct Program
     /** @return full disassembly, one instruction per line. */
     std::string disassemble() const;
 
-    /** Sanity-check operands, targets and register bounds; panics on error. */
+    /**
+     * Sanity-check operands, targets and register bounds, opcode/type
+     * pairs the ALU cannot execute (an f32 shl, an integer rsqrt, ...)
+     * and stores to a read-only space; panics on error.  Gpu::launch
+     * runs it on every launch, so the interpreter need not recheck what
+     * it refuses — not even for instructions whose values it drops.
+     */
     void validate() const;
 };
 
@@ -100,11 +106,21 @@ struct DecodedInstr
     uint8_t nsrc = 2;           ///< operand arity of the ALU execute path
     bool writesReg = false;     ///< instrWritesReg
     bool isLdSt = false;        ///< Op::Ld or Op::St
+    /**
+     * The program is valueOblivious() and this instruction is a St or
+     * writes a register or predicate the taint fixpoint marks: its value
+     * can reach only other dead writes and store data, never a guard, a
+     * branch or an address.  A KernelLaunch::valuesUnobserved launch
+     * therefore skips its result write, load copy or store write
+     * (WarpExec) without moving any statistic.
+     */
+    bool valueDead = false;
     uint32_t latency = 1;       ///< opLatency(op)
 };
 
 /** A kernel program decoded once into a flat DecodedInstr array, indexed by
- *  pc in lock-step with Program::code. */
+ *  pc in lock-step with Program::code.  Decoding runs the same taint
+ *  fixpoint as valueOblivious() to set DecodedInstr::valueDead. */
 class DecodedProgram
 {
   public:
@@ -145,9 +161,12 @@ struct KernelLaunch
      * valueOblivious(), so its Step stream is a function of the launch
      * signature.  rt::lower()/lowerRnn() set it for timing-only
      * lowerings; an armed memo replay then splices the cached
-     * statistics without executing (sim/gpu.cc).  Not part of the
-     * launch signature: it changes how a replay runs, never what it
-     * reports.
+     * statistics without executing (sim/gpu.cc), and a simulated one
+     * skips the data path of every DecodedInstr::valueDead instruction:
+     * no ALU result, load copy or store write, so the launch writes no
+     * device memory.  Addresses, bounds checks and every Step field
+     * still come from the executed lanes.  Not part of the launch
+     * signature: it changes how a launch runs, never what it reports.
      */
     bool valuesUnobserved = false;
 

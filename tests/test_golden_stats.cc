@@ -602,6 +602,82 @@ goldenVggNet()
     return net;
 }
 
+/** MobileNet style (no fixture of its own): stem conv, two depthwise-
+ *  separable blocks, global average pool, classifier, on a 3x8x8 input
+ *  (real model: 3x224x224, 13 blocks). */
+Network
+reducedMobileNet()
+{
+    Network net;
+    net.name = "mobilenet";
+    net.inC = 3;
+    net.inH = net.inW = 8;
+
+    int prev = -1;
+    uint32_t c = 3, h = 8;
+    auto add = [&](LayerKind kind, const std::string &name, uint32_t k,
+                   uint32_t rs, uint32_t stride) {
+        Layer l;
+        l.kind = kind;
+        l.name = name;
+        l.figType = "Conv";
+        l.C = c;
+        l.H = l.W = h;
+        l.K = k;
+        l.R = l.S = rs;
+        l.stride = stride;
+        l.pad = rs / 2;
+        l.P = l.Q = (h + 2 * l.pad - rs) / stride + 1;
+        l.relu = true;
+        l.inputs = {prev};
+        l.hint = strideHint(k, 4, 4);
+        prev = net.add(l);
+        c = k;
+        h = l.P;
+    };
+    add(LayerKind::Conv, "conv1", 8, 3, 2);            // -> 4x4
+    add(LayerKind::Depthwise, "conv2_dw", 8, 3, 1);
+    add(LayerKind::Conv, "conv2_pw", 16, 1, 1);
+    add(LayerKind::Depthwise, "conv3_dw", 16, 3, 2);   // -> 2x2
+    add(LayerKind::Conv, "conv3_pw", 16, 1, 1);
+
+    Layer gap;
+    gap.kind = LayerKind::Pool;
+    gap.name = "global_avg_pool";
+    gap.figType = "Pooling";
+    gap.C = c;
+    gap.H = gap.W = h;
+    gap.globalAvg = true;
+    gap.avg = true;
+    gap.P = gap.Q = 1;
+    gap.inputs = {prev};
+    gap.hint.grid = {1, 1, 1};
+    gap.hint.block = {c, 1, 1};
+    prev = net.add(gap);
+
+    Layer fc;
+    fc.kind = LayerKind::FC;
+    fc.name = "fc";
+    fc.figType = "FC";
+    fc.inN = c;
+    fc.outN = 4;
+    fc.inputs = {prev};
+    fc.hint.grid = {4, 1, 1};
+    fc.hint.block = {1, 1, 1};
+    prev = net.add(fc);
+
+    Layer sm;
+    sm.kind = LayerKind::Softmax;
+    sm.name = "softmax";
+    sm.figType = "Others";
+    sm.inN = sm.outN = 4;
+    sm.inputs = {prev};
+    sm.hint.grid = {1, 1, 1};
+    sm.hint.block = {32, 1, 1};
+    net.add(sm);
+    return net;
+}
+
 nn::AnyModel
 buildGoldenModel(const std::string &name)
 {
@@ -994,6 +1070,55 @@ TEST(GoldenStats, TimingOnlyRnnSplicedReplaysMatchMemoOff)
             << diffs.size() << " fields, e.g. " << diffs.front();
     }
     EXPECT_EQ(mismatches.value(), mismatches0);
+}
+
+
+/**
+ * Timing-only run of @p model with one LayerRun per launch, launching
+ * each kernel as lowering produced it or, with @p keep_unobserved false,
+ * with KernelLaunch::valuesUnobserved cleared (the full data path).
+ */
+NetRun
+timingOnlyRun(const nn::AnyModel &model, bool keep_unobserved)
+{
+    sim::Gpu gpu(sim::pascalGP102());
+    std::vector<rt::LoweredKernel> kernels =
+        model.isRnn() ? rt::lowerRnn(model.rnn(), gpu.mem(), false).kernels
+                      : rt::lower(model.cnn(), gpu.mem(), false).kernels;
+    const sim::SimPolicy policy = rt::RunPolicy::named("exact").sim;
+    NetRun run;
+    run.netName = model.name();
+    for (rt::LoweredKernel &k : kernels) {
+        EXPECT_TRUE(k.launch.valuesUnobserved) << k.launch.program->name;
+        k.launch.valuesUnobserved &= keep_unobserved;
+        rt::LayerRun lr;
+        lr.layerIndex = k.layerIndex;
+        lr.name = k.launch.program->name;
+        lr.figType = k.figType;
+        lr.kernels.push_back(gpu.launch(k.launch, policy));
+        run.layers.push_back(std::move(lr));
+    }
+    return run;
+}
+
+/** Timing-only launches drop the data of value-dead instructions
+ *  (DecodedInstr::valueDead); no statistic may notice.  Each runnable
+ *  network, at reduced size, runs its lowering as produced and again
+ *  with valuesUnobserved cleared. */
+TEST(GoldenStats, DroppedDeadValuesAreUnobservable)
+{
+    for (const std::string name : nn::models::runnableNames()) {
+        const nn::AnyModel model = name == "mobilenet"
+                                       ? nn::AnyModel(reducedMobileNet())
+                                       : buildGoldenModel(name);
+        const NetRun dropped = timingOnlyRun(model, true);
+        const NetRun full = timingOnlyRun(model, false);
+        EXPECT_GT(dropped.layers.size(), 0u) << name;
+        const std::vector<std::string> diffs = diffNetRun(full, dropped);
+        EXPECT_TRUE(diffs.empty())
+            << name << ": dropping dead values moved " << diffs.size()
+            << " fields, e.g. " << diffs.front();
+    }
 }
 
 } // namespace

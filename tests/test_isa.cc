@@ -135,6 +135,37 @@ TEST(Program, ValidateRejectsBadRegister)
     EXPECT_DEATH(p.validate(), "writes");
 }
 
+TEST(Program, ValidateRejectsStoreToReadOnlySpace)
+{
+    Program p;
+    p.name = "ststore";
+    p.numRegs = 1;
+    Instr st;
+    st.op = Op::St;
+    st.type = DType::U32;
+    st.space = Space::Const;
+    st.src[0] = Instr::immReg;
+    st.src[1] = 0;
+    Instr e;
+    e.op = Op::Exit;
+    p.code = {st, e};
+    EXPECT_DEATH(p.validate(), "store to read-only space");
+}
+
+TEST(Program, ValidateRejectsOpOutsideItsTypeClass)
+{
+    Program p;
+    p.name = "intsqrt";
+    p.numRegs = 1;
+    Instr sq;
+    sq.op = Op::Sqrt;
+    sq.type = DType::U32;
+    Instr e;
+    e.op = Op::Exit;
+    p.code = {sq, e};
+    EXPECT_DEATH(p.validate(), "op sqrt not valid on int");
+}
+
 TEST(Program, ValidateRequiresExit)
 {
     Program p;

@@ -9,13 +9,16 @@
  * the self-validating fallback when a data-dependent kernel diverges,
  * per-signature isolation, the TANGO_NO_MEMO kill switch, the
  * order-stability of the µ-arch state digests the fingerprint is built
- * from, and the value-oblivious proof (sim::valueOblivious) behind
- * spliced replays that skip execution.
+ * from, the value-oblivious proof (sim::valueOblivious) behind
+ * spliced replays that skip execution, and the DecodedInstr::valueDead
+ * bit that lets timing-only launches skip their data path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <set>
@@ -413,7 +416,10 @@ TEST(ValueOblivious, SuiteDigestsIgnoreMemoryContents)
             if (!seen.insert(&p).second)
                 continue;
             ASSERT_TRUE(valueOblivious(p)) << p.name;
-            EXPECT_EQ(digestOver(k.launch, mem, 1), digestOver(k.launch, mem, 2))
+            // The full data path, so the loaded values really differ.
+            KernelLaunch full = k.launch;
+            full.valuesUnobserved = false;
+            EXPECT_EQ(digestOver(full, mem, 1), digestOver(full, mem, 2))
                 << p.name << ": digest depends on memory contents";
         }
         EXPECT_GE(seen.size(), 2u) << name;
@@ -470,6 +476,186 @@ TEST(ValueOblivious, SplicedReplaysDoNotExecute)
     EXPECT_TRUE(hiddenKeepsCanary(true));
     EXPECT_FALSE(hiddenKeepsCanary(false))
         << "self-checking replays execute and must overwrite the canary";
+}
+
+
+// ------------------------------------------------------------ value-dead
+// DecodedInstr::valueDead comes from the same taint fixpoint as
+// valueOblivious; a valuesUnobserved launch drops the data of every
+// instruction it marks.
+
+/** @return the pcs of @p prog whose decoded valueDead bit is set. */
+std::set<size_t>
+deadPcs(const Program &prog)
+{
+    const DecodedProgram dec(prog);
+    std::set<size_t> dead;
+    for (size_t pc = 0; pc < dec.size(); pc++)
+        if (dec[static_cast<uint32_t>(pc)].valueDead)
+            dead.insert(pc);
+    return dead;
+}
+
+TEST(ValueDead, GlobalLoadMadStoreChainIsDead)
+{
+    kern::Builder b("dead.chain");
+    kern::Reg x = b.param(0);
+    kern::Reg w = b.param(1);
+    kern::Reg v = b.reg();
+    kern::Reg u = b.reg();
+    const size_t first = b.size();
+    b.ld(DType::F32, Space::Global, v, x);
+    b.ld(DType::F32, Space::Global, u, w);
+    b.mad(DType::F32, v, v, u, v);
+    b.st(DType::F32, Space::Global, x, v);
+    b.exit();
+    const auto prog = b.finish();
+    ASSERT_TRUE(valueOblivious(*prog));
+    EXPECT_EQ(deadPcs(*prog),
+              (std::set<size_t>{first, first + 1, first + 2, first + 3}));
+}
+
+TEST(ValueDead, AddressGuardAndConstantArithmeticIsLive)
+{
+    // Every tid/ctaid index computation, the Param and Const loads and
+    // the tid-derived guard feed addresses or control: only the global
+    // load and the store it feeds are dead.
+    kern::Builder b("dead.live");
+    kern::Reg base = b.param(0);
+    kern::Reg scale = b.ldc(DType::U32, 0);
+    kern::Reg tx = b.movS(SReg::TidX);
+    kern::Reg cx = b.movS(SReg::CtaIdX);
+    kern::Reg nx = b.movS(SReg::NTidX);
+    kern::Reg idx = b.madr(DType::U32, cx, nx, tx);
+    kern::Reg scaled = b.mul(DType::U32, idx, scale);
+    kern::Reg addr = b.add(DType::U32, base, b.shli(scaled, 2));
+    kern::PredReg inRange = b.pred();
+    b.setpi(inRange, DType::U32, Cmp::Lt, idx, 64);
+    b.guard(inRange);
+    kern::Reg v = b.reg();
+    const size_t ldPc = b.size();
+    b.ld(DType::F32, Space::Global, v, addr);
+    const size_t stPc = b.size();
+    b.st(DType::F32, Space::Global, addr, v, 256);
+    b.endGuard();
+    b.exit();
+    const auto prog = b.finish();
+    ASSERT_TRUE(valueOblivious(*prog));
+    EXPECT_EQ(deadPcs(*prog), (std::set<size_t>{ldPc, stPc}));
+}
+
+TEST(ValueDead, RegisterWithATaintedWriterIsDeadAtEveryWrite)
+{
+    // The pass is flow-insensitive: acc's clean initialization is dead
+    // too, because a later write of acc carries a loaded value.
+    kern::Builder b("dead.mixed");
+    kern::Reg x = b.param(0);
+    const size_t initPc = b.size();
+    kern::Reg acc = b.immF(0.0f);
+    kern::Reg v = b.reg();
+    const size_t ldPc = b.size();
+    b.ld(DType::F32, Space::Global, v, x);
+    const size_t addPc = b.size();
+    b.emit3(Op::Add, DType::F32, acc, acc, v);
+    const size_t stPc = b.size();
+    b.st(DType::F32, Space::Global, x, acc);
+    b.exit();
+    const auto prog = b.finish();
+    ASSERT_TRUE(valueOblivious(*prog));
+    EXPECT_EQ(deadPcs(*prog),
+              (std::set<size_t>{initPc, ldPc, addPc, stPc}));
+}
+
+TEST(ValueDead, NothingIsDeadInAnObliviousnessFailure)
+{
+    // memo.datadep's trip count is a loaded value, so its loads are
+    // observed through control flow: no write of it may be dropped.
+    const KernelLaunch l = dataDependentKernel(256, 512, 1024);
+    ASSERT_FALSE(valueOblivious(*l.program));
+    EXPECT_TRUE(deadPcs(*l.program).empty());
+}
+
+TEST(ValueDeadDeathTest, InvalidOpIsRefusedThoughItsValueIsDropped)
+{
+    // shl is not an f32 op.  Its result is dead, so a valuesUnobserved
+    // launch never reaches the ALU for it: Program::validate(), which
+    // every launch runs, must refuse it.
+    auto prog = std::make_shared<Program>();
+    prog->name = "dead.f32shl";
+    prog->numRegs = 2;
+    Instr ld;
+    ld.op = Op::Ld;
+    ld.type = DType::F32;
+    ld.space = Space::Global;
+    ld.dst = 0;
+    ld.src[0] = Instr::immReg;
+    ld.imm = 256;
+    Instr shl;
+    shl.op = Op::Shl;
+    shl.type = DType::F32;
+    shl.dst = 1;
+    shl.src[0] = 0;
+    shl.src[1] = 0;
+    Instr st;
+    st.op = Op::St;
+    st.type = DType::F32;
+    st.space = Space::Global;
+    st.src[0] = Instr::immReg;
+    st.src[1] = 1;
+    st.imm = 256;
+    Instr exit;
+    exit.op = Op::Exit;
+    prog->code = {ld, shl, st, exit};
+    ASSERT_EQ(deadPcs(*prog), (std::set<size_t>{0, 1, 2}));
+    KernelLaunch l;
+    l.program = prog;
+    l.block = {32, 1, 1};
+    l.valuesUnobserved = true;
+    EXPECT_DEATH(
+        {
+            Gpu gpu(pascalGP102());
+            gpu.launch(l, rt::RunPolicy::named("exact").sim);
+        },
+        "op shl not valid on f32");
+}
+
+/** A timing-only run writes no device memory: a byte pattern laid over
+ *  the run's whole allocation survives it.  The same launches with
+ *  valuesUnobserved cleared take the full data path and overwrite it. */
+TEST(ValueDead, TimingOnlyRunsWriteNoDeviceMemory)
+{
+    constexpr uint8_t kPattern = 0xa5;
+    for (const std::string name : {"cifarnet", "gru"}) {
+        Gpu gpu(pascalGP102());
+        const nn::AnyModel model = nn::models::buildAny(name);
+        const rt::RunPolicy policy = rt::RunPolicy::named("bench");
+        // Runtime::run resets the allocator and lowers exactly this.
+        std::vector<rt::LoweredKernel> kernels =
+            model.isRnn() ? rt::lowerRnn(model.rnn(), gpu.mem(), false).kernels
+                          : rt::lower(model.cnn(), gpu.mem(), false,
+                                      policy.maxLoopChannels)
+                                .kernels;
+        const uint64_t used = gpu.mem().used();
+        const auto patterned = [&] {
+            const uint8_t *d = gpu.mem().data();
+            return static_cast<uint64_t>(std::count(d, d + used, kPattern));
+        };
+
+        std::memset(gpu.mem().data(), kPattern, used);
+        rt::Runtime rtm(gpu);
+        const rt::NetRun run = rtm.run(model, policy);
+        EXPECT_GT(run.totals.get("issued"), 0.0) << name;
+        EXPECT_EQ(gpu.mem().used(), used) << name;
+        EXPECT_EQ(patterned(), used) << name << ": device memory written";
+
+        gpu.coldStart();
+        for (rt::LoweredKernel &k : kernels) {
+            k.launch.valuesUnobserved = false;
+            gpu.launch(k.launch, policy.sim);
+        }
+        EXPECT_LT(patterned(), used)
+            << name << ": the full data path must write device memory";
+    }
 }
 
 } // namespace
