@@ -46,19 +46,8 @@ SmCore::SmCore(const GpuConfig &cfg, DeviceMemory &gmem, Cache &l2,
     constCache_->setTrace(trace_, trace::CacheLevel::Const);
 }
 
-Dim3
-SmCore::ctaCoord(const Dim3 &grid, uint64_t linear)
-{
-    Dim3 c;
-    c.x = static_cast<uint32_t>(linear % grid.x);
-    c.y = static_cast<uint32_t>((linear / grid.x) % grid.y);
-    c.z = static_cast<uint32_t>(linear / (uint64_t(grid.x) * grid.y));
-    return c;
-}
-
 void
-SmCore::launchCta(const KernelLaunch &launch, uint64_t linear_id,
-                  const std::vector<uint32_t> &warp_ids)
+SmCore::launchCta(uint32_t warps)
 {
     // Find a free CTA slot.
     uint32_t slot = 0;
@@ -71,51 +60,42 @@ SmCore::launchCta(const KernelLaunch &launch, uint64_t linear_id,
     cta.active = true;
     freeCtas_--;
     cta.barrierArrived = 0;
-    cta.smem.assign(std::max<uint32_t>(launch.program->smemBytes, 1), 0);
     cta.warpMask = 0;
 
-    const Dim3 coord = ctaCoord(launch.grid, linear_id);
     const uint32_t ctaOrder = ctaOrderCounter_++;
-    uint32_t warpOrder = 0;
-    for (uint32_t w : warp_ids) {
-        // The lowest free slot (a warp that finished at launch leaves its
-        // slot free for the next one).
+    cta.window = fe_->ctaSlot(ctaOrder);
+    for (uint32_t order = 0; order < warps; order++) {
+        // The lowest free slot.
         const auto ws = static_cast<uint32_t>(std::countr_zero(~active_));
         TANGO_ASSERT(ws < warps_.size(), "no free warp slot");
         const uint64_t bit = 1ull << ws;
         WarpSlot &slotRef = warps_[ws];
-        slotRef.exec = std::make_unique<WarpExec>(launch, coord, w, gmem_,
-                                                  cta.smem, decoded_);
-        if (hashing_)
-            slotRef.exec->enableStreamHash();
+        slotRef.records.reset(fe_->ring(cta.window, order));
+        slotRef.pc = 0;
         std::fill_n(scoreboard_.begin() + size_t(ws) * numRegs_, numRegs_,
                     0);
         slotRef.fetchReady = 0;
         slotRef.depReady = 0;   // a fresh scoreboard holds no writes
         slotRef.cta = slot;
-        const bool live = !slotRef.exec->done();
         slotRef.atBarrier = false;
         ages_[ws] = warpAgeCounter_++;
-        slotRef.nextDec = live ? &slotRef.exec->peekDecoded() : nullptr;
+        slotRef.nextDec = &(*decoded_)[0];
         slotRef.l1Hint = Cache::WayHint{};
         slotRef.l2Hint = Cache::WayHint{};
         slotRef.constHint = Cache::WayHint{};
-        slotRef.hashSlot =
-            ctaOrder * static_cast<uint32_t>(warp_ids.size()) + warpOrder++;
+        slotRef.hashSlot = ctaOrder * warps + order;
         if (profiling_)
-            slotPc_[ws] = live ? slotRef.exec->pc() : 0;
-        // Not chargeable until its first evaluation, which a live warp
-        // gets next cycle (dirty).
+            slotPc_[ws] = 0;
+        // Not chargeable until its first evaluation, which it gets next
+        // cycle (dirty).
         why_[ws] = Stall::NumStalls;
         issuable_ &= ~bit;
-        if (live) {
-            active_ |= bit;
-            dirty_ |= bit;
-            cta.warpMask |= bit;
-            liveWarpTotal_++;
-        }
+        active_ |= bit;
+        dirty_ |= bit;
+        cta.warpMask |= bit;
     }
-    cta.liveWarps = static_cast<uint32_t>(std::popcount(cta.warpMask));
+    liveWarpTotal_ += warps;
+    cta.liveWarps = warps;
 }
 
 bool
@@ -188,9 +168,11 @@ SmCore::unitsFree(const DecodedInstr &d, uint64_t now, Stall &why,
 }
 
 uint64_t
-SmCore::memoryLatency(const Step &st, uint64_t now, WarpSlot &w)
+SmCore::memoryLatency(const DecodedInstr &d, const uint32_t *record,
+                      uint64_t now, WarpSlot &w)
 {
-    const bool write = st.isStore;
+    const bool write = d.op == Op::St;
+    const uint32_t *addrs = rec::addrs(record);
     uint64_t maxLat = 1;
 
     auto l2Path = [&](uint32_t addr) -> uint64_t {
@@ -224,12 +206,13 @@ SmCore::memoryLatency(const Step &st, uint64_t now, WarpSlot &w)
         return (avail - now) + cfg_.l2HitLatency / 4 + extra;
     };
 
-    switch (st.space) {
+    switch (d.space) {
       case Space::Global: {
+        const uint32_t numSegments = rec::addrWords(record);
         raw_.globalMemInsts++;
-        raw_.coalescedSegments += st.numSegments;
-        for (uint32_t s = 0; s < st.numSegments; s++) {
-            const uint32_t addr = st.segments[s];
+        raw_.coalescedSegments += numSegments;
+        for (uint32_t s = 0; s < numSegments; s++) {
+            const uint32_t addr = addrs[s];
             uint64_t lat;
             if (!l1d_->bypassed()) {
                 raw_.l1d++;
@@ -264,25 +247,27 @@ SmCore::memoryLatency(const Step &st, uint64_t now, WarpSlot &w)
             maxLat = std::max(maxLat, lat);
         }
         // Multiple segments serialize at the LDST unit.
-        if (st.numSegments > 1)
-            maxLat += st.numSegments - 1;
+        if (numSegments > 1)
+            maxLat += numSegments - 1;
         break;
       }
       case Space::Shared: {
-        raw_.shrd += st.sharedSerialization;
-        maxLat = cfg_.smemLatency + 2ull * (st.sharedSerialization - 1);
+        const uint32_t ser = rec::sharedSerialization(record);
+        raw_.shrd += ser;
+        maxLat = cfg_.smemLatency + 2ull * (ser - 1);
         break;
       }
       case Space::Const: {
-        const uint32_t accesses = st.constUniform ? 1 : 2;
+        const bool uniform = rec::constBroadcast(record);
+        const uint32_t accesses = uniform ? 1 : 2;
         raw_.cc += accesses;
         // Model the constant cache with real tag state keyed on the
         // immediate-offset address of lane 0's access.
         const Cache::Result r =
-            constCache_->access(st.segments[0], false, now, &w.constHint);
+            constCache_->access(addrs[0], false, now, &w.constHint);
         maxLat = r.hit ? cfg_.constHitLatency
                        : cfg_.constHitLatency + cfg_.l2HitLatency;
-        if (!st.constUniform)
+        if (!uniform)
             maxLat += cfg_.constHitLatency;
         break;
       }
@@ -314,41 +299,42 @@ void
 SmCore::issue(uint32_t slot, uint64_t now)
 {
     WarpSlot &w = warps_[slot];
-    // nextDec points into the per-kernel DecodedProgram (stable storage),
-    // so the reference stays valid across step().
+    // nextDec points into the per-kernel DecodedProgram (stable storage);
+    // the record adds what only execution knows.
     const DecodedInstr &d = *w.nextDec;
-    // Attribution pc must be read before step() advances the warp; it is
-    // cheap here because peekDecoded() already resolved reconvergence.
-    uint32_t ipc = 0;
-    if (profiling_)
-        ipc = w.exec->pc();
-    const Step st = w.exec->step();
-    if (hashing_ && st.warpDone)
-        streamHashes_[w.hashSlot] = w.exec->streamHash();
-    if (!st.warpDone)
-        w.nextDec = &w.exec->peekDecoded();
+    const uint32_t *r = w.records.next(*fe_);
+    const uint32_t ipc = w.pc;
+    const bool warpDone = rec::retired(r);
+    const uint32_t activeCount = rec::activeCount(r);
+    const uint32_t numSegments = rec::addrWords(r);
+    const uint32_t sharedSer = rec::sharedSerialization(r);
+    const bool controlTransfer = rec::controlTransfer(r);
+    if (hashing_ && warpDone)
+        streamHashes_[w.hashSlot] = rec::digest(r);
+    if (!warpDone) {
+        w.pc = rec::nextPc(r);
+        w.nextDec = &(*decoded_)[w.pc];
+    }
     if (profiling_) {
         profPc_ = ipc;
         pcIssued_[ipc]++;
-        slotPc_[slot] = st.warpDone ? 0 : w.exec->pc();
+        slotPc_[slot] = warpDone ? 0 : w.pc;
     }
     const PowerParams &p = cfg_.power;
 
     // --- instruction accounting -----------------------------------------
     raw_.issued++;
-    raw_.op[static_cast<size_t>(st.op)] += st.activeCount;
-    if (st.type != DType::None && st.type != DType::Pred &&
-        st.activeCount > 0) {
-        raw_.dtype[static_cast<size_t>(st.type)] += st.activeCount;
-    }
+    raw_.op[static_cast<size_t>(d.op)] += activeCount;
+    if (d.type != DType::None && d.type != DType::Pred && activeCount > 0)
+        raw_.dtype[static_cast<size_t>(d.type)] += activeCount;
     raw_.ic++;
     raw_.ib++;
     raw_.pipe++;
-    const uint32_t rfOps = st.numSrcRegs + (st.writesReg ? 1 : 0);
+    const uint32_t rfOps = d.numSrcRegs + (d.writesReg ? 1 : 0);
     raw_.rfOperand += rfOps;
 
     double pj = p.icAccess + p.ibAccess + p.pipeIssue + rfOps * p.rfOperand;
-    switch (st.unit) {
+    switch (d.unit) {
       case Unit::SP:
         raw_.sp++;
         pj += p.spOp;
@@ -367,46 +353,52 @@ SmCore::issue(uint32_t slot, uint64_t now)
 
     // --- functional unit occupancy --------------------------------------
     uint64_t occ = 1;
-    if (st.unit == Unit::SFU)
+    if (d.unit == Unit::SFU)
         occ = 4;
-    if (st.unit == Unit::LDST) {
+    if (d.unit == Unit::LDST) {
         occ = 1;
-        if (st.numSegments > 1)
-            occ += st.numSegments - 1;
-        if (st.sharedSerialization > 1)
-            occ += st.sharedSerialization - 1;
+        if (numSegments > 1)
+            occ += numSegments - 1;
+        if (sharedSer > 1)
+            occ += sharedSer - 1;
     }
-    unitBusy_[static_cast<size_t>(st.unit)] = now + occ;
+    unitBusy_[static_cast<size_t>(d.unit)] = now + occ;
 
     // --- dependencies / memory ------------------------------------------
     const size_t reg = size_t(slot) * numRegs_ + d.dst;
-    if (st.isMem) {
-        const uint64_t lat = memoryLatency(st, now, w);
-        if (!st.isStore && st.writesReg) {
+    if (d.isLdSt) {
+        const uint64_t lat = memoryLatency(d, r, now, w);
+        if (d.op == Op::Ld && d.writesReg) {
             const bool constant =
-                st.space == Space::Const || st.space == Space::Param;
+                d.space == Space::Const || d.space == Space::Param;
             scoreboard_[reg] = ((now + lat) << 2) | (constant ? 2 : 1);
         }
-        if (st.space == Space::Global) {
-            pj += st.numSegments * (l1d_->bypassed() ? 0.0 : p.dcAccess);
+        if (d.space == Space::Global) {
+            pj += numSegments * (l1d_->bypassed() ? 0.0 : p.dcAccess);
             sched_.notifyLongLatency(slot);
-        } else if (st.space == Space::Shared) {
-            pj += st.sharedSerialization * p.shrdAccess;
+        } else if (d.space == Space::Shared) {
+            pj += sharedSer * p.shrdAccess;
         } else {
             pj += p.ccAccess;
         }
-    } else if (st.writesReg) {
+    } else if (d.writesReg) {
         scoreboard_[reg] = (now + d.latency) << 2;
+    }
+    // Done with the record: hand its words back to the front end.
+    releasedWords_ += w.records.release(r);
+    if (releasedWords_ >= kRingWords / 2) {
+        fe_->consumed();
+        releasedWords_ = 0;
     }
 
     windowAccum(pj, now);
 
     // --- control ----------------------------------------------------------
-    w.fetchReady = now + (st.controlTransfer ? 3 : 1);
-    if (!st.warpDone)
+    w.fetchReady = now + (controlTransfer ? 3 : 1);
+    if (!warpDone)
         scanScoreboard(slot);
 
-    if (st.op == Op::Bar && !st.warpDone) {
+    if (d.op == Op::Bar && !warpDone) {
         CtaSlot &cta = ctas_[w.cta];
         w.atBarrier = true;
         cta.barrierArrived++;
@@ -414,11 +406,10 @@ SmCore::issue(uint32_t slot, uint64_t now)
             releaseBarrier(cta);
     }
 
-    if (st.warpDone) {
+    if (warpDone) {
         CtaSlot &cta = ctas_[w.cta];
         active_ &= ~(1ull << slot);
         w.nextDec = nullptr;
-        w.exec.reset();
         sched_.notifyRetired(slot);
         TANGO_ASSERT(liveWarpTotal_ > 0 && cta.liveWarps > 0,
                      "warp accounting underflow");
@@ -428,6 +419,7 @@ SmCore::issue(uint32_t slot, uint64_t now)
             cta.active = false;
             freeCtas_++;
             cta.warpMask = 0;
+            fe_->releaseCta(cta.window);
         } else if (cta.barrierArrived >= cta.liveWarps &&
                    cta.barrierArrived > 0) {
             // The retiring warp was the last one not at the barrier.
@@ -449,16 +441,16 @@ SmCore::releaseBarrier(CtaSlot &cta)
 KernelStats
 SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
             const std::vector<uint32_t> &warp_ids, uint32_t resident_ctas,
-            const SimPolicy &policy, uint64_t *stream_hash)
+            const SimPolicy &policy, FrontEnd &fe, uint64_t *stream_hash)
 {
     TANGO_ASSERT(launch.program != nullptr, "launch without program");
     const Program &prog = *launch.program;
 
-    // Decode once per kernel; every warp of every CTA shares the result.
+    // Decode once per kernel; the front end's warps and the cycle loop
+    // share the result.
     const DecodedProgram decoded(prog);
     decoded_ = &decoded;
 
-    launch_ = &launch;
     raw_ = RawCounts{};
     l1d_->reset();
     constCache_->reset();
@@ -479,11 +471,15 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
     const uint32_t warpsPerCta =
         static_cast<uint32_t>(warp_ids.size());
     TANGO_ASSERT(warpsPerCta > 0, "no warps to simulate");
+    // Every warp has a lane (and Program::validate() refuses an empty
+    // program), so every warp launched is live until its last record.
+    TANGO_ASSERT(uint64_t(warp_ids.back()) * warpSize <
+                     launch.threadsPerCta(),
+                 "warp without threads");
     ctas_.assign(resident_ctas, CtaSlot{});
     warps_.clear();
     warps_.resize(size_t(resident_ctas) * warpsPerCta);
-    pendingCtas_ = cta_ids;
-    nextPending_ = 0;
+    numCtas_ = cta_ids.size();
     freeCtas_ = resident_ctas;
     const uint32_t nSlots = static_cast<uint32_t>(warps_.size());
     TANGO_ASSERT(nSlots <= kMaxWarpSlots,
@@ -572,15 +568,40 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
         }
     };
 
-    while (liveWarpTotal_ > 0 || nextPending_ < pendingCtas_.size()) {
+    // The front end executes the CTAs ahead of the cycle loop: the
+    // resident ones plus a lookahead of as many again.  resident_ctas is
+    // at most kMaxWarpSlots, so the window always covers them.
+    static_assert(kMaxWindowCtas >= kMaxWarpSlots);
+    FrontEnd::Job job;
+    job.launch = &launch;
+    job.decoded = &decoded;
+    job.ctaIds = &cta_ids;
+    job.warpIds = &warp_ids;
+    job.gmem = &gmem_;
+    job.window = static_cast<uint32_t>(std::max<uint64_t>(
+        1, std::min<uint64_t>({2ull * resident_ctas, kMaxWindowCtas,
+                               cta_ids.size()})));
+    job.hash = hashing_;
+    fe_ = &fe;
+    releasedWords_ = 0;
+    fe.start(job);
+    // Stop and join the front end however the cycle loop ends.
+    struct Join
+    {
+        FrontEnd &fe;
+        bool ended = false;
+        ~Join() { fe.finish(!ended); }
+    } join{fe};
+
+    while (liveWarpTotal_ > 0 || ctaOrderCounter_ < numCtas_) {
         if (now > policy.maxCycles) {
             throw CycleCapExceeded("kernel " + prog.name + " exceeded the " +
                                    std::to_string(policy.maxCycles) +
                                    "-cycle safety cap");
         }
         // Fill free CTA slots; their live warps come up dirty.
-        while (nextPending_ < pendingCtas_.size() && freeCtas_ > 0)
-            launchCta(launch, pendingCtas_[nextPending_++], warp_ids);
+        while (ctaOrderCounter_ < numCtas_ && freeCtas_ > 0)
+            launchCta(warpsPerCta);
         if (liveWarpTotal_ == 0)
             continue;   // CTA produced no live warps (empty block)
 
@@ -785,12 +806,6 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
         ks.peakWindowDynW = peakWindowDynW_;
     }
     if (hashing_) {
-        // Warps still resident here (e.g. after a maxCycles truncation)
-        // were never captured at retirement; sweep their partial digests.
-        for (uint64_t m = active_; m; m &= m - 1) {
-            const WarpSlot &w = warps_[std::countr_zero(m)];
-            streamHashes_[w.hashSlot] = w.exec->streamHash();
-        }
         // Same fold as runFunctionalOnly(): per-warp digests in launch
         // position, so the two executions are directly comparable.
         uint64_t combined = digest::kInit;
@@ -816,7 +831,9 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
         ks.profile = std::move(prof);
         profiling_ = false;
     }
+    join.ended = true;
     decoded_ = nullptr;
+    fe_ = nullptr;
     return ks;
 }
 

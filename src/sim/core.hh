@@ -7,8 +7,9 @@
  * enforces register dependencies, functional units have issue occupancy,
  * and memory instructions walk the L1D -> L2 -> DRAM hierarchy with
  * coalescing and MSHR back-pressure.  Functional execution (real values,
- * less the dead ones of a timing-only launch) happens at issue time
- * through WarpExec.
+ * less the dead ones of a timing-only launch) runs ahead of the cycle loop
+ * on a FrontEnd thread (sim/frontend.hh), which hands every warp's
+ * executed instructions over as records (sim/record.hh).
  *
  * The core also performs the paper's measurement duties: per-opcode and
  * per-dtype instruction counts (Figs 8-10), nvprof-style stall accounting
@@ -27,6 +28,7 @@
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/dram.hh"
+#include "sim/frontend.hh"
 #include "sim/interp.hh"
 #include "sim/profile.hh"
 #include "sim/program.hh"
@@ -67,7 +69,7 @@ struct SimPolicy
      * Steady-state launch memoization (sim/gpu.cc): once consecutive
      * occurrences of an identical launch signature produce bit-identical
      * statistics, identical µ-arch state fingerprints and identical
-     * Step streams, later matching launches execute functionally only
+     * instruction streams, later matching launches execute functionally only
      * and splice in the cached statistics (a
      * KernelLaunch::valuesUnobserved launch only splices).
      * Self-validating (any divergence falls back to full simulation),
@@ -188,24 +190,28 @@ class SmCore
      * @param warp_ids warp indices (within each CTA) to simulate.
      * @param resident_ctas concurrent CTA slots to use.
      * @param policy   simulation policy (cycle cap: throws
-     *                 CycleCapExceeded past policy.maxCycles).
+     *                 CycleCapExceeded past policy.maxCycles, after
+     *                 stopping the front end).
+     * @param fe       the front end that executes the CTAs; idle on
+     *                 entry and on return.
      * @param stream_hash when non-null, every warp folds its executed
-     *        stream into an internal digest (WarpExec::enableStreamHash)
-     *        and the combination — per-warp digests in (CTA order, warp
-     *        order) position, the same fold runFunctionalOnly() computes
-     *        — is written here.  No cost when null (the common case).
+     *        stream into a digest (WarpExec::enableStreamHash) that
+     *        arrives with its retiring record, and the combination —
+     *        per-warp digests in (CTA order, warp order) position, the
+     *        same fold runFunctionalOnly() computes — is written here.
+     *        No cost when null (the common case).
      * @return raw (unscaled) statistics for the simulated portion.
      */
     KernelStats run(const KernelLaunch &launch,
                     const std::vector<uint64_t> &cta_ids,
                     const std::vector<uint32_t> &warp_ids,
                     uint32_t resident_ctas, const SimPolicy &policy,
-                    uint64_t *stream_hash = nullptr);
+                    FrontEnd &fe, uint64_t *stream_hash = nullptr);
 
     /** Per-SM L1D statistics of the last run. */
     const CacheStats &l1dStats() const { return l1d_->stats(); }
 
-    /** Per-warp Step-stream digests of the last run, one per (sampled
+    /** Per-warp stream digests of the last run, one per (sampled
      *  CTA, sampled warp) launch position — populated only when run()
      *  was asked for a stream hash.  The sharded launch path
      *  (sim/gpu.cc) concatenates these across shards to rebuild the
@@ -226,7 +232,7 @@ class SmCore
     struct CtaSlot
     {
         bool active = false;
-        std::vector<uint8_t> smem;
+        uint32_t window = 0;   ///< the front end's slot for this CTA
         uint32_t liveWarps = 0;
         uint32_t barrierArrived = 0;
         /** Warp slots the CTA launched live warps into (kept until the
@@ -236,7 +242,8 @@ class SmCore
 
     struct WarpSlot
     {
-        std::unique_ptr<WarpExec> exec;
+        RingReader records;    ///< the warp's executed instructions
+        uint32_t pc = 0;       ///< pc of nextDec
         uint64_t fetchReady = 0;
         /** When the scoreboard lets nextDec issue, and the stall until
          *  then.  Only this warp's issues write its scoreboard, so both
@@ -245,9 +252,9 @@ class SmCore
         Stall depStall = Stall::ExecDependency;
         uint32_t cta = 0;
         bool atBarrier = false;
-        /** Predecoded form of the next instruction to issue; refreshed
-         *  after every issue so the scoreboard scan and the unit checks
-         *  touch no interpreter state. */
+        /** Predecoded form of the next instruction to issue, from the
+         *  last record's next pc: scheduling needs only static facts,
+         *  so a record is taken only when its instruction issues. */
         const DecodedInstr *nextDec = nullptr;
         /** Index into streamHashes_ (launch-position keyed, stable across
          *  slot reuse); only meaningful while hashing_ is set. */
@@ -256,11 +263,8 @@ class SmCore
         Cache::WayHint l1Hint, l2Hint, constHint;
     };
 
-    /** Convert a linear CTA index to grid coordinates. */
-    static Dim3 ctaCoord(const Dim3 &grid, uint64_t linear);
-
-    void launchCta(const KernelLaunch &launch, uint64_t linear_id,
-                   const std::vector<uint32_t> &warp_ids);
+    /** Launch the next CTA into a free slot, its @p warps warps live. */
+    void launchCta(uint32_t warps);
     bool issuableSlot(uint32_t slot, uint64_t now, Stall &why,
                       uint64_t &earliest) const;
     void scanScoreboard(uint32_t slot);
@@ -268,7 +272,8 @@ class SmCore
                    uint64_t &earliest) const;
     void releaseBarrier(CtaSlot &cta);
     void issue(uint32_t slot, uint64_t now);
-    uint64_t memoryLatency(const Step &st, uint64_t now, WarpSlot &w);
+    uint64_t memoryLatency(const DecodedInstr &d, const uint32_t *record,
+                           uint64_t now, WarpSlot &w);
     void windowAccum(double pj, uint64_t now);
 
     const GpuConfig &cfg_;
@@ -281,15 +286,17 @@ class SmCore
     std::unique_ptr<Cache> constCache_;
     WarpScheduler sched_;
 
-    const KernelLaunch *launch_ = nullptr;
     /** Per-kernel predecoded program, owned by run() for its duration. */
     const DecodedProgram *decoded_ = nullptr;
+    /** The front end of the current run. */
+    FrontEnd *fe_ = nullptr;
+    /** Ring words released since the front end was last told. */
+    uint32_t releasedWords_ = 0;
     std::vector<CtaSlot> ctas_;
     std::vector<WarpSlot> warps_;
-    std::vector<uint64_t> pendingCtas_;
-    size_t nextPending_ = 0;
+    size_t numCtas_ = 0;   ///< CTAs to simulate this run
     uint64_t warpAgeCounter_ = 0;
-    /** Step-stream digests, one per (sampled CTA, sampled warp) launch
+    /** Stream digests, one per (sampled CTA, sampled warp) launch
      *  position; populated only when run() is asked for a stream hash. */
     std::vector<uint64_t> streamHashes_;
     bool hashing_ = false;

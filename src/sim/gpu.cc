@@ -224,6 +224,13 @@ Gpu::stateFingerprint(const SmCore &core) const
     return h;
 }
 
+void
+Gpu::ensureFrontEnds(size_t n)
+{
+    while (frontEnds_.size() < n)
+        frontEnds_.push_back(std::make_unique<FrontEnd>());
+}
+
 double
 Gpu::staticPowerW(uint32_t active_sms) const
 {
@@ -436,8 +443,9 @@ Gpu::launch(const KernelLaunch &launch, const SimPolicy &requested)
     if (plan.size() == 1) {
         l2_->setTrace(ts, trace::CacheLevel::L2);
         dram_->setTrace(ts);
+        ensureFrontEnds(1);
         SmCore core(cfg_, mem_, *l2_, *dram_);
-        ks = core.run(launch, ids, warpIds, resident, policy,
+        ks = core.run(launch, ids, warpIds, resident, policy, *frontEnds_[0],
                       hashed ? &streamHash : nullptr);
         if (hashed)
             fingerprint = stateFingerprint(core);
@@ -557,6 +565,7 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
         std::exception_ptr error;
     };
     std::vector<ShardResult> results(plan.size());
+    ensureFrontEnds(plan.size());
     SimMetrics::get().shardedLaunches.inc();
     SimMetrics::get().shardFanout.inc(plan.size());
 
@@ -578,10 +587,10 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
     // Worker body.  Everything a shard touches is private: an L2 clone
     // seeded from the master's current warm state, a fresh DRAM channel,
     // its own SmCore (constructed on the worker thread, under the
-    // shard's sink), and its own trace ring.  DeviceMemory is shared —
-    // CTAs of one launch write disjoint outputs (the CUDA independence
-    // contract the kernels are written against) — so functional results
-    // match the sequential interleaving.
+    // shard's sink), its own front end and its own trace ring.
+    // DeviceMemory is shared — CTAs of one launch write disjoint outputs
+    // (the CUDA independence contract the kernels are written against) —
+    // so functional results match the sequential interleaving.
     const auto simulateShard = [&](size_t i) {
         ShardResult &r = results[i];
         trace::ScopedSink scoped(r.sink.get());
@@ -597,7 +606,7 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
         uint64_t sh = 0;
         SmCore core(cfg_, mem_, *l2, dram);
         r.ks = core.run(launch, shardIds, warp_ids, plan[i].resident,
-                        policy, hashed ? &sh : nullptr);
+                        policy, *frontEnds_[i], hashed ? &sh : nullptr);
         if (hashed) {
             r.streamDigests = core.streamDigests();
             uint64_t fp = digest::kInit;

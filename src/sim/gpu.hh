@@ -21,6 +21,7 @@
 #include "sim/config.hh"
 #include "sim/core.hh"
 #include "sim/dram.hh"
+#include "sim/frontend.hh"
 #include "sim/memory.hh"
 #include "sim/power.hh"
 #include "sim/shard.hh"
@@ -109,7 +110,8 @@ class Gpu
     /**
      * Simulate one launch split across @p plan (>= 2 shards): fork one
      * worker thread per extra shard (shard 0 runs on the caller), each
-     * with a private L2 clone / DRAM / SmCore / trace ring, then reduce
+     * with a private L2 clone / DRAM / SmCore / front end / trace ring,
+     * then reduce
      * stats, profiles, stream digests and trace events in fixed shard
      * order (sim/shard.hh).  Returns raw (unscaled) statistics exactly
      * like SmCore::run; launch() applies the common scaling after.
@@ -129,6 +131,10 @@ class Gpu
     /** Digest of the end-of-launch µ-arch state (L2 + DRAM + SM caches). */
     uint64_t stateFingerprint(const SmCore &core) const;
 
+    /** The front ends of the first @p n simulated cores, created on
+     *  first use and reused by every later launch. */
+    void ensureFrontEnds(size_t n);
+
     GpuConfig cfg_;
     DeviceMemory mem_;
     std::unique_ptr<Cache> l2_;
@@ -141,6 +147,9 @@ class Gpu
     /** Scratch snapshot of device memory for replay fallback (never
      *  taken for valuesUnobserved launches). */
     std::vector<uint8_t> memoSnapshot_;
+    /** One front end (helper thread) per core a launch simulates at
+     *  once: one unsharded, one per shard when sharded. */
+    std::vector<std::unique_ptr<FrontEnd>> frontEnds_;
 };
 
 } // namespace tango::sim

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "sim/digest.hh"
@@ -126,6 +127,38 @@ madWarpF32(uint32_t *dp, const uint32_t *a, const uint32_t *b,
             asU32(__builtin_fmaf(asF32(a[l]), asF32(b[l]), asF32(c[l])));
 }
 
+/** Record destination of runFunctionalSegment(): none. */
+struct NoRecord
+{
+};
+
+/** A one-record destination: step() runs one instruction. */
+struct OneRecord
+{
+    uint32_t words[rec::kMaxRecordWords];
+    bool used = false;
+
+    uint32_t *reserve()
+    {
+        if (used)
+            return nullptr;
+        used = true;
+        return words;
+    }
+    void commit(uint32_t) {}
+};
+
+/** @return the grid coordinates of linear CTA index @p linear. */
+Dim3
+ctaCoord(const Dim3 &grid, uint64_t linear)
+{
+    Dim3 c;
+    c.x = static_cast<uint32_t>(linear % grid.x);
+    c.y = static_cast<uint32_t>((linear / grid.x) % grid.y);
+    c.z = static_cast<uint32_t>(linear / (uint64_t(grid.x) * grid.y));
+    return c;
+}
+
 } // namespace
 
 uint32_t
@@ -234,29 +267,6 @@ WarpExec::resolve()
     }
 }
 
-const Instr &
-WarpExec::peek()
-{
-    resolveFast();
-    TANGO_ASSERT(!done_, "peek on retired warp");
-    return prog_.code[pc_];
-}
-
-const DecodedInstr &
-WarpExec::peekDecoded()
-{
-    resolveFast();
-    TANGO_ASSERT(!done_, "peek on retired warp");
-    return (*dec_)[pc_];
-}
-
-uint32_t
-WarpExec::pc()
-{
-    resolveFast();
-    return pc_;
-}
-
 void
 WarpExec::foldAddrs(Mask exec, const uint32_t addrs[warpSize])
 {
@@ -292,38 +302,66 @@ WarpExec::laneAddrs(const Instr &ins, Mask exec,
 Step
 WarpExec::step()
 {
-    return stepT<true>();
-}
-
-WarpExec::StepLite
-WarpExec::runFunctionalSegment()
-{
-    return stepT<false>();
-}
-
-template <bool Timing>
-std::conditional_t<Timing, Step, WarpExec::StepLite>
-WarpExec::stepT()
-{
-  // The functional instantiation batches: it loops here until the warp
-  // retires or consumes a Bar, paying the call and frame setup once per
-  // barrier-to-barrier segment instead of once per instruction.
-  for (;;) {
-    resolveFast();
-    std::conditional_t<Timing, Step, StepLite> st;
-    if (done_) {
+    OneRecord out;
+    if (stepT(out) == SegEnd::Retired && !out.used) {
+        Step st;
         st.warpDone = true;
         return st;
     }
+    const uint32_t *r = out.words;
+    const Instr &ins = prog_.code[rec::pc(r)];
+    Step st;
+    st.op = ins.op;
+    st.space = ins.space;
+    st.activeCount = rec::activeCount(r);
+    st.warpDone = rec::retired(r);
+    if (ins.op == Op::Ld || ins.op == Op::St) {
+        if (ins.space == Space::Global)
+            st.numSegments = rec::addrWords(r);
+        st.sharedSerialization = rec::sharedSerialization(r);
+        st.constUniform =
+            ins.space != Space::Const || rec::constBroadcast(r);
+    }
+    st.controlTransfer = rec::controlTransfer(r);
+    return st;
+}
+
+SegEnd
+WarpExec::runRecorded(RingWriter &out)
+{
+    return stepT(out);
+}
+
+SegEnd
+WarpExec::runFunctionalSegment()
+{
+    NoRecord none;
+    return stepT(none);
+}
+
+template <typename Out>
+SegEnd
+WarpExec::stepT(Out &out)
+{
+  // Loops here until the warp retires or consumes a Bar (or the record
+  // destination is full), paying the call and frame setup once per run
+  // instead of once per instruction.
+  constexpr bool Timing = !std::is_same_v<Out, NoRecord>;
+  for (;;) {
+    resolveFast();
+    if (done_)
+        return SegEnd::Retired;
+    // The record is written in place: header words once the instruction
+    // has executed, address words as the access is shaped.
+    uint32_t *r = nullptr;
+    if constexpr (Timing) {
+        r = out.reserve();
+        if (r == nullptr)
+            return SegEnd::Paused;
+    }
+    const uint32_t issuePc = pc_;
     const Instr &ins = prog_.code[pc_];
     const DecodedInstr &dec = (*dec_)[pc_];
-    st.op = ins.op;
-    if constexpr (Timing) {
-        st.type = ins.type;
-        st.unit = dec.unit;
-        st.numSrcRegs = dec.numSrcRegs;
-        st.writesReg = dec.writesReg;
-    }
 
     // Guard predicate (for Bra the predicate is the branch condition and is
     // handled below instead).
@@ -332,8 +370,10 @@ WarpExec::stepT()
         const Mask pv = preds_[ins.pred];
         exec &= ins.predNeg ? ~pv : pv;
     }
-    if constexpr (Timing)
-        st.activeCount = static_cast<uint32_t>(std::popcount(exec));
+    uint32_t activeCount = static_cast<uint32_t>(std::popcount(exec));
+    uint32_t addrWords = 0;
+    uint32_t sharedSer = 1;
+    uint32_t flags = 0;
 
     // Fold the issue point: pc pins the static instruction (opcode, unit,
     // type, memory space), the mask pins which lanes executed it.
@@ -379,22 +419,18 @@ WarpExec::stepT()
             taken &= ins.predNeg ? ~pv : pv;
         }
         const Mask not_taken = active_ & ~taken;
-        if constexpr (Timing)
-            st.controlTransfer = true;
+        flags = taken != 0 ? rec::kControlTransfer : 0;
         if (taken == active_) {
             next_pc = static_cast<uint32_t>(ins.target);
         } else if (taken == 0) {
             next_pc = pc_ + 1;
-            if constexpr (Timing)
-                st.controlTransfer = false;
         } else {
             // Divergence: continue on the taken path, queue the rest.
             stack_.push_back({pc_ + 1, rpc_, not_taken, false});
             active_ = taken;
             next_pc = static_cast<uint32_t>(ins.target);
         }
-        if constexpr (Timing)
-            st.activeCount = static_cast<uint32_t>(std::popcount(active_));
+        activeCount = static_cast<uint32_t>(std::popcount(active_));
         // Fold the outcome too: the continuation pc and surviving mask pin
         // the taken set even when a guard at the target would mask it.
         if (hashing_)
@@ -433,10 +469,6 @@ WarpExec::stepT()
       }
 
       case Op::Ld: {
-        if constexpr (Timing) {
-            st.isMem = true;
-            st.space = ins.space;
-        }
         const uint32_t bytes = dtypeBytes(ins.type);
         const uint8_t *base = nullptr;
         uint64_t limit = 0;
@@ -484,7 +516,8 @@ WarpExec::stepT()
         // Access shaping for the memory model (timing runs only).
         if constexpr (Timing) {
             if (ins.space == Space::Global) {
-                st.numSegments = coalesceSegments(addrs, exec, st.segments);
+                addrWords = coalesceSegments(addrs, exec,
+                                             r + rec::kHeaderWords);
             } else if (ins.space == Space::Shared) {
                 // Bank-conflict count.  A touched-bank mask replaces the
                 // "count == 0" first-touch test so the per-bank arrays
@@ -510,10 +543,11 @@ WarpExec::stepT()
                     if (perBank[bank] > maxSer)
                         maxSer = perBank[bank];
                 }
-                st.sharedSerialization = maxSer;
+                sharedSer = maxSer;
             } else if (ins.space == Space::Const) {
                 uint32_t first = 0;
                 bool haveFirst = false;
+                flags = rec::kConstBroadcast;
                 for (Mask m = exec; m; m &= m - 1) {
                     const auto lane =
                         static_cast<uint32_t>(std::countr_zero(m));
@@ -521,23 +555,19 @@ WarpExec::stepT()
                         first = addrs[lane];
                         haveFirst = true;
                     } else if (addrs[lane] != first) {
-                        st.constUniform = false;
+                        flags = 0;
                         break;
                     }
                 }
                 // The constant-cache model probes lane 0's address.
-                st.segments[0] = first;
+                r[rec::kHeaderWords] = first;
+                addrWords = 1;
             }
         }
         break;
       }
 
       case Op::St: {
-        if constexpr (Timing) {
-            st.isMem = true;
-            st.isStore = true;
-            st.space = ins.space;
-        }
         // Program::validate() refuses stores to Const and Param.
         const bool global = ins.space == Space::Global;
         uint8_t *base = global ? gmem_.data() : smem_.data();
@@ -568,7 +598,8 @@ WarpExec::stepT()
             foldAddrs(exec, addrs);
         if constexpr (Timing) {
             if (ins.space == Space::Global)
-                st.numSegments = coalesceSegments(addrs, exec, st.segments);
+                addrWords = coalesceSegments(addrs, exec,
+                                             r + rec::kHeaderWords);
         }
         break;
       }
@@ -922,12 +953,44 @@ WarpExec::stepT()
 
     pc_ = next_pc;
     resolveFast();
-    st.warpDone = done_;
-    if constexpr (Timing)
-        return st;
-    else if (st.warpDone || st.op == Op::Bar)
-        return st;
+    if constexpr (Timing) {
+        r[0] = issuePc;
+        r[1] = done_ ? rec::kRetired : pc_;
+        r[2] = rec::pack(activeCount, addrWords, sharedSer, flags);
+        if (done_) {
+            r[rec::kHeaderWords + addrWords] =
+                static_cast<uint32_t>(streamHash_);
+            r[rec::kHeaderWords + addrWords + 1] =
+                static_cast<uint32_t>(streamHash_ >> 32);
+        }
+        out.commit(rec::words(r));
+    }
+    if (done_)
+        return SegEnd::Retired;
+    if (ins.op == Op::Bar)
+        return SegEnd::Bar;
   }
+}
+
+void
+CtaExec::start(const KernelLaunch &launch, const DecodedProgram &dec,
+               uint64_t linear_id, const std::vector<uint32_t> &warp_ids,
+               DeviceMemory &gmem, bool hash)
+{
+    smem_.assign(std::max<uint32_t>(launch.program->smemBytes, 1), 0);
+    const Dim3 coord = ctaCoord(launch.grid, linear_id);
+    warps_.clear();
+    waiting_.assign(warp_ids.size(), 0);
+    live_ = 0;
+    atBarrier_ = 0;
+    for (uint32_t w : warp_ids) {
+        warps_.push_back(
+            std::make_unique<WarpExec>(launch, coord, w, gmem, smem_, &dec));
+        if (hash)
+            warps_.back()->enableStreamHash();
+        if (!warps_.back()->done())
+            live_++;
+    }
 }
 
 uint64_t
@@ -938,72 +1001,28 @@ runFunctionalOnly(const KernelLaunch &launch,
 {
     TANGO_ASSERT(launch.program != nullptr, "launch without program");
     const DecodedProgram decoded(*launch.program);
-    const Dim3 grid = launch.grid;
-    const auto coordOf = [&grid](uint64_t linear) {
-        Dim3 c;
-        c.x = static_cast<uint32_t>(linear % grid.x);
-        c.y = static_cast<uint32_t>((linear / grid.x) % grid.y);
-        c.z = static_cast<uint32_t>(linear / (uint64_t(grid.x) * grid.y));
-        return c;
-    };
-
     uint64_t combined = digest::kInit;
-    std::vector<uint8_t> smem;
-    std::vector<std::unique_ptr<WarpExec>> warps;
-    std::vector<uint8_t> waiting;
-
+    CtaExec cta;
     for (uint64_t linear : cta_ids) {
-        smem.assign(std::max<uint32_t>(launch.program->smemBytes, 1), 0);
-        const Dim3 coord = coordOf(linear);
-        warps.clear();
-        waiting.assign(warp_ids.size(), 0);
-        uint32_t live = 0;
-        for (uint32_t w : warp_ids) {
-            warps.push_back(std::make_unique<WarpExec>(
-                launch, coord, w, gmem, smem, &decoded));
-            warps.back()->enableStreamHash();
-            if (!warps.back()->done())
-                live++;
-        }
-
-        // Round-robin the CTA's warps.  A warp runs until it retires or
-        // consumes a Bar; once every live warp has arrived at the barrier
-        // all of them are released.  This is the same release rule the
-        // timing core applies (barrierArrived >= liveWarps), so race-free
-        // kernels compute identical values in both executors.
-        uint32_t atBarrier = 0;
-        while (live > 0) {
-            bool progressed = false;
-            for (size_t i = 0; i < warps.size(); i++) {
-                WarpExec &we = *warps[i];
-                if (we.done() || waiting[i])
-                    continue;
-                progressed = true;
-                const auto st = we.runFunctionalSegment();
-                if (st.warpDone) {
-                    live--;
-                } else {
-                    // Segment ended on a consumed Bar.
-                    waiting[i] = 1;
-                    atBarrier++;
-                }
-            }
-            if (live > 0 && atBarrier >= live) {
-                std::fill(waiting.begin(), waiting.end(), 0);
-                atBarrier = 0;
-            } else if (!progressed) {
-                // Every remaining warp is parked at a barrier that can
-                // no longer be released — matches the timing core's
-                // deadlock panic, so a memoized kernel cannot hide one.
+        cta.start(launch, decoded, linear, warp_ids, gmem, true);
+        while (!cta.done()) {
+            bool ran = false;
+            const bool released = cta.sweep([&](size_t, WarpExec &we) {
+                ran = true;
+                return we.runFunctionalSegment();
+            });
+            // Every remaining warp is parked at a barrier that can no
+            // longer be released — matches the timing core's deadlock
+            // panic, so a memoized kernel cannot hide one.
+            if (!ran && !released) {
                 panic("functional replay deadlock in kernel %s",
                       launch.program->name.c_str());
             }
         }
-
         // Fold per-warp digests in (CTA order, warp order) position so
         // the combination is independent of the interleaving above.
-        for (const auto &wp : warps)
-            digest::mix(combined, wp->streamHash());
+        for (size_t i = 0; i < cta.numWarps(); i++)
+            digest::mix(combined, cta.warp(i).streamHash());
     }
     return combined;
 }

@@ -6,7 +6,8 @@
  * read and stores write actual device memory, arithmetic produces real
  * results.  Small kernels can therefore run end-to-end on the simulator and
  * be checked bit-for-bit against the CPU reference implementation, while
- * the same execution drives the timing model through the Step records.
+ * the same execution drives the timing model through its executed-
+ * instruction records (sim/record.hh).
  *
  * The one exception is a timing-only launch (KernelLaunch::valuesUnobserved):
  * its program is value-oblivious, so no loaded value can reach a guard, a
@@ -14,7 +15,7 @@
  * interpreter drops the data of every DecodedInstr::valueDead instruction
  * (ALU/Set/Selp/Mov results, load copies, store writes) and still computes
  * and bounds-checks every address, folds the stream digest and shapes
- * every access, so each Step is the one the full data path would give.
+ * every access, so each record is the one the full data path would give.
  *
  * Branch divergence is handled with a PDOM-style reconvergence stack keyed
  * by SSY-declared reconvergence points, as in real NVIDIA hardware.
@@ -23,14 +24,15 @@
 #ifndef TANGO_SIM_INTERP_HH
 #define TANGO_SIM_INTERP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "sim/digest.hh"
 #include "sim/memory.hh"
 #include "sim/program.hh"
+#include "sim/record.hh"
 
 namespace tango::sim {
 
@@ -40,50 +42,27 @@ inline constexpr uint32_t warpSize = 32;
 /** A lane mask (bit i = lane i active). */
 using Mask = uint32_t;
 
-/** Everything the timing model needs to know about one executed warp
- *  instruction. */
+/** One executed warp instruction, decoded from its record
+ *  (sim/record.hh): the single-instruction view WarpExec::step() gives
+ *  tests and tools.  The timing core reads records directly. */
 struct Step
 {
     Op op = Op::Nop;
-    DType type = DType::None;
-    Unit unit = Unit::SP;
+    Space space = Space::Global;
     uint32_t activeCount = 0;   ///< lanes that actually executed
     bool warpDone = false;      ///< warp retired with this step
-
-    // Memory information (valid when isMem).
-    bool isMem = false;
-    bool isStore = false;
-    Space space = Space::Global;
     uint32_t numSegments = 0;   ///< coalesced 128B global segments
-    /**
-     * Segment base byte addresses.
-     *
-     * Contract: only [0, numSegments) are defined, plus [0] for Const
-     * loads; every other entry is *intentionally uninitialized* — zeroing
-     * 128 bytes per dynamic instruction dominates small steps.  All
-     * consumers (SmCore::memoryLatency in particular) must read only the
-     * defined prefix; the memoization detector's Step-stream digest folds
-     * raw per-lane addresses inside WarpExec instead of this array, so
-     * MSan/valgrind runs stay clean under TANGO_STEP_SEGMENTS_ZEROED
-     * (below).
-     *
-     * Building with -DTANGO_SANITIZE=memory (or any build that defines
-     * TANGO_STEP_SEGMENTS_ZEROED) zero-initializes the array so that an
-     * accidental out-of-contract read is a deterministic zero instead of
-     * an uninitialized-value report storm, keeping real contract
-     * violations findable.
-     */
-#ifdef TANGO_STEP_SEGMENTS_ZEROED
-    uint32_t segments[warpSize] = {};
-#else
-    uint32_t segments[warpSize];
-#endif
     uint32_t sharedSerialization = 1; ///< shared-memory bank conflict factor
     bool constUniform = true;   ///< constant access was a broadcast
-
     bool controlTransfer = false; ///< pc changed non-sequentially
-    uint32_t numSrcRegs = 0;    ///< register-file read operands
-    bool writesReg = false;     ///< register-file write-back
+};
+
+/** Why WarpExec stopped executing a run of instructions. */
+enum class SegEnd : uint8_t
+{
+    Bar,      ///< consumed a Bar (the warp is still live)
+    Retired,  ///< every lane has exited
+    Paused,   ///< the record destination refused another record
 };
 
 /**
@@ -106,12 +85,11 @@ uint32_t coalesceSegments(const uint32_t addrs[warpSize], Mask exec,
  * Functional-only execution of one kernel launch: runs the same sampled
  * CTA/warp population a full SmCore simulation would run, computes real
  * values (loads/stores touch device memory) but no timing, and returns
- * the combined Step-stream digest.
+ * the combined stream digest.
  *
- * Warps execute round-robin within each CTA with correct barrier
- * semantics (a warp pauses after consuming a Bar until every live warp of
- * its CTA has arrived), so any race-free kernel produces exactly the
- * values and per-warp Step streams of the interleaved timing simulation.
+ * CTAs run one after another through CtaExec, the barrier rule the
+ * SmCore front end uses too, so any race-free kernel produces exactly the
+ * values and per-warp instruction streams of a timing simulation.
  * Per-warp streams are digested independently and folded in (CTA order,
  * warp order) position — the same combination SmCore::run uses — so the
  * result is directly comparable and independent of interleaving.
@@ -120,7 +98,7 @@ uint32_t coalesceSegments(const uint32_t addrs[warpSize], Mask exec,
  * @param cta_ids  linear CTA indices to execute (launch order).
  * @param warp_ids warp indices within each CTA to execute.
  * @param gmem     device global memory.
- * @return the combined Step-stream digest of the executed population.
+ * @return the combined stream digest of the executed population.
  */
 uint64_t runFunctionalOnly(const KernelLaunch &launch,
                            const std::vector<uint64_t> &cta_ids,
@@ -153,38 +131,27 @@ class WarpExec
     /** @return whether every lane has retired. */
     bool done() const { return done_; }
 
-    /** @return the next instruction to issue (after reconvergence). */
-    const Instr &peek();
-
-    /** @return the predecoded form of the next instruction to issue. */
-    const DecodedInstr &peekDecoded();
-
-    /** @return current pc (after reconvergence resolution). */
-    uint32_t pc();
-
     /** Execute the next instruction for all active lanes. */
     Step step();
 
-    /** Minimal result of a functional-only run segment: just enough for
-     *  the caller to drive barriers and retirement.  Returned in
-     *  registers — no Step record is assembled on the fast path. */
-    struct StepLite
-    {
-        Op op = Op::Nop;       ///< the last instruction executed
-        bool warpDone = false; ///< warp retired
-    };
+    /**
+     * Execute instructions until the warp consumes a Bar or retires, or
+     * @p out refuses a record, writing one record (sim/record.hh) per
+     * executed instruction in place into @p out.  This is what the
+     * SmCore front end runs.
+     */
+    SegEnd runRecorded(RingWriter &out);
 
     /**
-     * Value-only variant of step(): identical lane execution, control flow
-     * and stream-hash folds, but none of the timing shaping (segment
-     * coalescing, shared-memory bank conflicts, const-broadcast scan,
-     * Step accounting fields).  Executes instructions *in a batch* — until
-     * the warp either consumes a Bar (op == Op::Bar on return) or retires
-     * (warpDone) — so the per-call cost amortizes over the whole
+     * Value-only variant of runRecorded(): identical lane execution,
+     * control flow and stream-hash folds, but no records and none of the
+     * timing shaping (segment coalescing, shared-memory bank conflicts,
+     * const-broadcast scan).  Runs until the warp consumes a Bar or
+     * retires, so the per-call cost amortizes over the whole
      * barrier-to-barrier segment.  This is what launch replay
      * (sim/gpu.cc) runs.
      */
-    StepLite runFunctionalSegment();
+    SegEnd runFunctionalSegment();
 
     /**
      * Start folding this warp's executed-instruction stream into an
@@ -196,9 +163,8 @@ class WarpExec
      * memory access (which pin coalesced segments, bank serialization and
      * const-broadcast shape), and branch outcomes — but no data values:
      * two executions with equal digests take bit-identical trips through
-     * the timing model.  step() and runFunctionalSegment() fold
-     * identically, so
-     * digests from a full simulation and a functional-only replay are
+     * the timing model.  Recorded and functional runs fold identically,
+     * so digests from a full simulation and a functional-only replay are
      * directly comparable.  This is the self-validation primitive of the
      * launch-memoization layer (sim/gpu.cc): a replayed launch must
      * reproduce the digest recorded during full simulation, else the
@@ -238,11 +204,11 @@ class WarpExec
         }
     }
 
-    /** Shared body of step()/runFunctionalSegment(): one instruction per
-     *  call in the Timing instantiation, a barrier-to-barrier batch in the
-     *  functional one. */
-    template <bool Timing>
-    std::conditional_t<Timing, Step, StepLite> stepT();
+    /** Shared body of step(), runRecorded() and runFunctionalSegment():
+     *  runs until a Bar, retirement or a refused record, writing one
+     *  record per instruction to @p out (nothing for a NoRecord). */
+    template <typename Out>
+    SegEnd stepT(Out &out);
 
     /** Compute the active lanes' Ld/St byte addresses (src[0] + imm)
      *  into @p addrs.  @return their maximum (0 when @p exec is 0). */
@@ -282,6 +248,69 @@ class WarpExec
     // Stream digest (enableStreamHash()).
     bool hashing_ = false;
     uint64_t streamHash_ = digest::kInit;
+};
+
+/**
+ * One CTA's warps executing functionally, round-robin between barriers: a
+ * warp runs until it consumes a Bar or retires, and once every live warp
+ * has arrived at the barrier all of them are released.  This is the
+ * timing core's release rule (barrierArrived >= liveWarps), so race-free
+ * kernels compute identical values in every executor.  runFunctionalOnly
+ * and the SmCore front end (sim/frontend.hh) both drive CTAs through it.
+ */
+class CtaExec
+{
+  public:
+    /** Set up CTA @p linear_id of @p launch with a zeroed shared-memory
+     *  block and one WarpExec per entry of @p warp_ids. */
+    void start(const KernelLaunch &launch, const DecodedProgram &dec,
+               uint64_t linear_id, const std::vector<uint32_t> &warp_ids,
+               DeviceMemory &gmem, bool hash);
+
+    /**
+     * Give every runnable warp (live, not parked at a barrier) one
+     * @p run(i, warp) call in warp order; run returns how the warp
+     * stopped, and SegEnd::Paused leaves it runnable.  Then release the
+     * barrier if every live warp waits at it.
+     * @return whether the barrier was released.
+     */
+    template <typename Run>
+    bool sweep(Run &&run)
+    {
+        for (size_t i = 0; i < warps_.size(); i++) {
+            if (waiting_[i] || warps_[i]->done())
+                continue;
+            switch (run(i, *warps_[i])) {
+              case SegEnd::Retired:
+                live_--;
+                break;
+              case SegEnd::Bar:
+                waiting_[i] = 1;
+                atBarrier_++;
+                break;
+              case SegEnd::Paused:
+                break;
+            }
+        }
+        if (live_ == 0 || atBarrier_ < live_)
+            return false;
+        std::fill(waiting_.begin(), waiting_.end(), 0);
+        atBarrier_ = 0;
+        return true;
+    }
+
+    /** @return whether every warp has retired. */
+    bool done() const { return live_ == 0; }
+
+    size_t numWarps() const { return warps_.size(); }
+    const WarpExec &warp(size_t i) const { return *warps_[i]; }
+
+  private:
+    std::vector<uint8_t> smem_;
+    std::vector<std::unique_ptr<WarpExec>> warps_;
+    std::vector<uint8_t> waiting_;
+    uint32_t live_ = 0;
+    uint32_t atBarrier_ = 0;
 };
 
 } // namespace tango::sim

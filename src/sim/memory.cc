@@ -33,12 +33,11 @@ uint32_t
 DeviceMemory::allocate(uint64_t bytes, const std::string &label)
 {
     const uint64_t aligned = (bytes + 255) & ~uint64_t(255);
-    if (top_ + aligned > capacity_) {
-        fatal("device out of memory allocating %llu bytes for '%s' "
-              "(used %llu of %llu)",
-              static_cast<unsigned long long>(bytes), label.c_str(),
-              static_cast<unsigned long long>(top_),
-              static_cast<unsigned long long>(capacity_));
+    if (bytes > capacity_ || top_ + aligned > capacity_) {
+        throw DeviceOutOfMemory(
+            "device out of memory allocating " + std::to_string(bytes) +
+            " bytes for '" + label + "' (used " + std::to_string(top_) +
+            " of " + std::to_string(capacity_) + ")");
     }
     const uint64_t addr = top_;
     top_ += aligned;

@@ -14,10 +14,19 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace tango::sim {
+
+/** Thrown by DeviceMemory::allocate when the request does not fit.  Like
+ *  CycleCapExceeded it fails one job: an Engine worker, the serve daemon
+ *  and the other jobs keep running. */
+struct DeviceOutOfMemory : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /** The GPU's global memory: backing bytes + allocation bookkeeping. */
 class DeviceMemory
@@ -33,6 +42,7 @@ class DeviceMemory
      * Allocate @p bytes, 256-byte aligned (cudaMalloc-style).
      * @param label owner name recorded for error messages.
      * @return the device address of the block.
+     * @throws DeviceOutOfMemory past the capacity; nothing is allocated.
      */
     uint32_t allocate(uint64_t bytes, const std::string &label = "");
 

@@ -133,6 +133,9 @@ DecodedProgram::DecodedProgram(const Program &prog)
     for (size_t pc = 0; pc < prog.code.size(); pc++) {
         const Instr &ins = prog.code[pc];
         DecodedInstr &d = ops_[pc];
+        d.op = ins.op;
+        d.type = ins.type;
+        d.space = ins.space;
         d.unit = opUnitTyped(ins.op, ins.type);
         d.dst = ins.dst;
         d.numSrcRegs =

@@ -97,10 +97,13 @@ struct Program
  */
 struct DecodedInstr
 {
+    Op op = Op::Nop;            ///< Instr::op
+    DType type = DType::None;   ///< Instr::type
+    Space space = Space::Global; ///< Instr::space (meaningful for Ld/St)
     Unit unit = Unit::SP;       ///< opUnitTyped(op, type)
     uint8_t dst = 0;            ///< Instr::dst
     /** Scoreboard source registers (instrSourceRegs; immediates and
-     *  predicate-file indices excluded).  Also equals Step::numSrcRegs. */
+     *  predicate-file indices excluded). */
     uint8_t srcRegs[3] = {};
     uint8_t numSrcRegs = 0;
     uint8_t nsrc = 2;           ///< operand arity of the ALU execute path
@@ -142,7 +145,7 @@ class DecodedProgram
  * and Selp predicate.  Params, the constant bank, special registers and
  * immediates are clean — all of them are hashed into the memo launch
  * signature — so an oblivious program's executed pcs, exec masks and
- * addresses (its Step-stream digest) are fixed by its launch.
+ * addresses (its stream digest) are fixed by its launch.
  */
 bool valueOblivious(const Program &prog);
 
@@ -158,13 +161,13 @@ struct KernelLaunch
     std::vector<uint8_t> constData;
     /**
      * Nothing reads this launch's values, and its program passed
-     * valueOblivious(), so its Step stream is a function of the launch
+     * valueOblivious(), so its instruction stream is a function of the launch
      * signature.  rt::lower()/lowerRnn() set it for timing-only
      * lowerings; an armed memo replay then splices the cached
      * statistics without executing (sim/gpu.cc), and a simulated one
      * skips the data path of every DecodedInstr::valueDead instruction:
      * no ALU result, load copy or store write, so the launch writes no
-     * device memory.  Addresses, bounds checks and every Step field
+     * device memory.  Addresses, bounds checks and every record field
      * still come from the executed lanes.  Not part of the launch
      * signature: it changes how a launch runs, never what it reports.
      */

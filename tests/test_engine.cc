@@ -223,6 +223,23 @@ TEST(Engine, ThrowingJobDoesNotPoisonThePool)
     expectCacheAccounted(e, 3);
 }
 
+TEST(Engine, DeviceOutOfMemoryFailsOnlyItsJob)
+{
+    // One worker, so the good job runs on the Gpu whose memory ran out.
+    Engine e = makeEngine(1);
+    auto hog = [](sim::Gpu &gpu) -> rt::NetRun {
+        gpu.mem().allocate(gpu.mem().capacity(), "hog");
+        return {};
+    };
+    EXPECT_THROW(e.run("test/hog", sim::pascalGP102(), hog),
+                 sim::DeviceOutOfMemory);
+    EXPECT_EQ(e.counters().failures.value(), 1u);
+
+    const rt::NetRun &after = e.run(JobSpec{"cifarnet"});
+    EXPECT_GT(after.totalTimeSec, 0.0);
+    expectCacheAccounted(e, 2);
+}
+
 TEST(Engine, InvalidSpecFailsOnlyItsJob)
 {
     Engine e = makeEngine(2);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/tensor.hh"
 #include "sim/memory.hh"
 
@@ -108,11 +110,23 @@ TEST(DeviceMemory, UntouchedPagesReadZero)
     EXPECT_EQ(mem.read<uint64_t>(a + 1000), 0u);
 }
 
-TEST(DeviceMemory, OutOfMemoryIsFatal)
+TEST(DeviceMemory, OutOfMemoryThrowsAndAllocatesNothing)
 {
-    sim::DeviceMemory mem(1 << 16);
-    EXPECT_EXIT(mem.allocate(1 << 20), ::testing::ExitedWithCode(1),
-                "out of memory");
+    sim::DeviceMemory mem(1 << 20);
+    const uint32_t first = mem.allocate(1000, "a");
+    const uint64_t used = mem.used();
+    try {
+        mem.allocate(1 << 20, "too.big");
+        FAIL() << "an allocation past the capacity succeeded";
+    } catch (const sim::DeviceOutOfMemory &err) {
+        EXPECT_EQ(std::string(err.what()),
+                  "device out of memory allocating 1048576 bytes for "
+                  "'too.big' (used " +
+                      std::to_string(used) + " of 1048576)");
+    }
+    EXPECT_THROW(mem.allocate(~0ull, "wraps"), sim::DeviceOutOfMemory);
+    EXPECT_EQ(mem.used(), used);
+    EXPECT_GT(mem.allocate(1000, "b"), first);
 }
 
 } // namespace

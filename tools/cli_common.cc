@@ -113,4 +113,14 @@ makeJobSpec(const std::string &net, const JobSpecArgs &args)
     return spec;
 }
 
+rt::NetRun
+runJobOrDie(sim::Gpu &gpu, const rt::JobSpec &spec)
+{
+    try {
+        return rt::runJob(gpu, spec);
+    } catch (const sim::DeviceOutOfMemory &e) {
+        fatal("%s", e.what());
+    }
+}
+
 } // namespace tango::tools

@@ -74,6 +74,10 @@ struct JobSpecArgs
  *  with the validation reason if the combination is not runnable. */
 rt::JobSpec makeJobSpec(const std::string &net, const JobSpecArgs &args);
 
+/** rt::runJob for the in-process tools: a job the device memory cannot
+ *  hold ends the tool with fatal()'s one-line diagnostic (exit 1). */
+rt::NetRun runJobOrDie(sim::Gpu &gpu, const rt::JobSpec &spec);
+
 } // namespace tango::tools
 
 #endif // TANGO_TOOLS_CLI_COMMON_HH

@@ -183,7 +183,7 @@ main(int argc, char **argv)
     int failures = 0;
     for (const std::string &net : opt.nets) {
         const rt::NetRun run =
-            rt::runJob(gpu, tools::makeJobSpec(net, opt.args));
+            tools::runJobOrDie(gpu, tools::makeJobSpec(net, opt.args));
 
         std::printf("%-12s policy=%s  sim_time=%.6gs  launches: "
                     "replayed=%llu simulated=%llu\n",

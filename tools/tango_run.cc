@@ -115,7 +115,7 @@ main(int argc, char **argv)
 
     for (const std::string &net : opt.nets) {
         const rt::JobSpec spec = tools::makeJobSpec(net, opt.args);
-        const rt::NetRun run = rt::runJob(gpu, spec);
+        const rt::NetRun run = tools::runJobOrDie(gpu, spec);
 
         uint64_t kernels = 0;
         for (const auto &l : run.layers)

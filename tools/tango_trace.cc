@@ -209,7 +209,7 @@ main(int argc, char **argv)
             // Installed for this thread only, and removed before export
             // so the exporter's own work cannot be traced.
             trace::ScopedSink install(&sink);
-            run = rt::runJob(gpu, tools::makeJobSpec(net, opt.args));
+            run = tools::runJobOrDie(gpu, tools::makeJobSpec(net, opt.args));
         }
 
         const std::string path = opt.outDir + "/" + net + ".trace.json";
